@@ -176,60 +176,11 @@ def _open_journal(args: argparse.Namespace, command: str, fingerprint: str,
     return Journal(path, fingerprint, resume=args.resume, facets=facets)
 
 
-def _campaign_dir(args: argparse.Namespace, command: str) -> str:
-    """Where a sharded campaign keeps its per-shard journals and leases."""
-    return (args.journal or f".repro-{command}.journal") + ".shards"
-
-
-def _make_shard_policies(args: argparse.Namespace):
-    """(task policy, shard-restart policy, shard chaos) for ``--shards``.
-
-    In sharded mode ``--chaos`` means *shard-kill* chaos: seeded SIGKILLs
-    of whole shard processes (the worker-level kill/hang/corrupt chaos of
-    the flat mode stays off — the convergence argument is per-layer).  The
-    shard-restart policy reuses the per-task :class:`SupervisionPolicy`
-    one level up: same retry budget, same exponential backoff + seeded
-    jitter.
-    """
-    from repro.harness.coordinator import ShardChaosConfig
-
-    task_policy = None
-    if args.timeout is not None or args.retries is not None:
-        task_policy = SupervisionPolicy(
-            timeout=args.timeout,
-            retries=args.retries if args.retries is not None else 2,
-            backoff=args.backoff)
-    retries = args.retries if args.retries is not None else 2
-    shard_policy = SupervisionPolicy(
-        retries=retries, backoff=args.backoff,
-        seed=args.chaos if args.chaos is not None else 0)
-    shard_chaos = None
-    if args.chaos is not None:
-        # Never kill a shard more times than its retry budget allows, or
-        # the chaos self-test could not converge to clean output.
-        shard_chaos = ShardChaosConfig(
-            seed=args.chaos, max_shard_faults=min(2, retries))
-    return task_policy, shard_policy, shard_chaos
-
-
-def _shard_summary(command: str, report) -> None:
-    """One stderr line of shard provenance counters (never on stdout —
-    steal/restart counts are timing-dependent, reports must diff clean)."""
-    s = report.stats
-    print(f"{command}: shards={s.shards} restarts={s.restarts} "
-          f"chaos-kills={s.chaos_kills} steals={s.steals} "
-          f"stolen={s.stolen_tasks} salvaged={s.salvaged_tasks} "
-          f"resumed={s.resumed_tasks} failed={s.failed_tasks}",
-          file=sys.stderr)
-
-
 def _resume_hint(args: argparse.Namespace,
                  journal: Optional[Journal]) -> str:
-    if journal is None and getattr(args, "shards", 1) <= 1:
+    if journal is None:
         return ""
     hint = "; resume with --resume"
-    if getattr(args, "shards", 1) > 1:
-        hint += f" --shards {args.shards}"
     if args.journal:
         hint += f" --journal {args.journal}"
     return hint
@@ -330,16 +281,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
                   sabotage=args.sabotage, configs=BENCH_CONFIG_KEYS,
                   stats=args.stats)
     fingerprint = Journal.make_fingerprint(**facets)
-    sharded = args.shards > 1
-    policy = _make_policy(args) if not sharded else None
-    chaos = _make_chaos(args, policy) if not sharded else None
-    journal = None
-    if not sharded:
-        try:
-            journal = _open_journal(args, "bench", fingerprint, facets)
-        except JournalError as err:
-            print(f"repro bench: {err}", file=sys.stderr)
-            return 2
+    policy = _make_policy(args)
+    chaos = _make_chaos(args, policy)
+    try:
+        journal = _open_journal(args, "bench", fingerprint, facets)
+    except JournalError as err:
+        print(f"repro bench: {err}", file=sys.stderr)
+        return 2
     t0 = time.time()
     lab = Lab(workloads, sabotage=args.sabotage, cache=_make_cache(args),
               collect_stats=args.stats)
@@ -355,17 +303,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                             collect_stats=args.stats)
                 clean.populate(jobs=1)
                 clean_text = render_all(clean)
-            if sharded:
-                task_policy, shard_policy, shard_chaos = \
-                    _make_shard_policies(args)
-                lab.populate_sharded(
-                    args.shards, _campaign_dir(args, "bench"), fingerprint,
-                    facets=facets, jobs=args.jobs, policy=task_policy,
-                    shard_policy=shard_policy, shard_chaos=shard_chaos,
-                    resume=args.resume,
-                    progress=lambda m: print(f"bench: {m}",
-                                             file=sys.stderr, flush=True))
-            elif args.jobs > 1 or policy is not None or journal is not None:
+            if args.jobs > 1 or policy is not None or journal is not None:
                 lab.populate(args.jobs, policy=policy, chaos=chaos,
                              journal=journal)
             text = render_all(lab)
@@ -379,8 +317,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     finally:
         if journal is not None:
             journal.close()
-    if lab.shard_report is not None:
-        _shard_summary("bench", lab.shard_report)
     print(text)
     if args.stats:
         # Printed after (not inside) render_all so the chaos self-test's
@@ -447,33 +383,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
                   models=campaign.model_keys, seeds=seeds,
                   seed_start=seed_start)
     fingerprint = Journal.make_fingerprint(**facets)
-    sharded = args.shards > 1
-    policy = _make_policy(args) if not sharded else None
-    chaos = _make_chaos(args, policy) if not sharded else None
-    journal = None
-    if not sharded:
-        try:
-            journal = _open_journal(args, "verify", fingerprint, facets)
-        except JournalError as err:
-            print(f"repro verify: {err}", file=sys.stderr)
-            return 2
+    policy = _make_policy(args)
+    chaos = _make_chaos(args, policy)
+    try:
+        journal = _open_journal(args, "verify", fingerprint, facets)
+    except JournalError as err:
+        print(f"repro verify: {err}", file=sys.stderr)
+        return 2
     clean_text = None
     try:
         with graceful_signals():
             if args.chaos is not None:
                 # Chaos self-test oracle: the same campaign, clean + serial.
                 clean_text = make_campaign().run(jobs=1).format()
-            if sharded:
-                task_policy, shard_policy, shard_chaos = \
-                    _make_shard_policies(args)
-                summary = campaign.run_sharded(
-                    args.shards, _campaign_dir(args, "verify"), fingerprint,
-                    facets=facets, jobs=args.jobs, policy=task_policy,
-                    shard_policy=shard_policy, shard_chaos=shard_chaos,
-                    resume=args.resume)
-            else:
-                summary = campaign.run(jobs=args.jobs, policy=policy,
-                                       chaos=chaos, journal=journal)
+            summary = campaign.run(jobs=args.jobs, policy=policy,
+                                   chaos=chaos, journal=journal)
     except JournalError as err:
         print(f"repro verify: {err}", file=sys.stderr)
         return 2
@@ -484,8 +408,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     finally:
         if journal is not None:
             journal.close()
-    if campaign.shard_report is not None:
-        _shard_summary("verify", campaign.shard_report)
     text = summary.format()
     print(text)
     if not summary.ok:
@@ -525,16 +447,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     facets = dict(command="fuzz", code_version=CODE_VERSION,
                   **campaign.facets())
     fingerprint = Journal.make_fingerprint(**facets)
-    sharded = args.shards > 1
-    policy = _make_policy(args) if not sharded else None
-    chaos = _make_chaos(args, policy) if not sharded else None
-    journal = None
-    if not sharded:
-        try:
-            journal = _open_journal(args, "fuzz", fingerprint, facets)
-        except JournalError as err:
-            print(f"repro fuzz: {err}", file=sys.stderr)
-            return 2
+    policy = _make_policy(args)
+    chaos = _make_chaos(args, policy)
+    try:
+        journal = _open_journal(args, "fuzz", fingerprint, facets)
+    except JournalError as err:
+        print(f"repro fuzz: {err}", file=sys.stderr)
+        return 2
     clean_text = None
     try:
         with graceful_signals():
@@ -547,17 +466,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                     sabotage=args.sabotage,
                     dynamic_variants=args.dynamic_variants or None)
                 clean_text = clean_campaign.run(jobs=1).format()
-            if sharded:
-                task_policy, shard_policy, shard_chaos = \
-                    _make_shard_policies(args)
-                summary = campaign.run_sharded(
-                    args.shards, _campaign_dir(args, "fuzz"), fingerprint,
-                    facets=facets, jobs=args.jobs, policy=task_policy,
-                    shard_policy=shard_policy, shard_chaos=shard_chaos,
-                    resume=args.resume)
-            else:
-                summary = campaign.run(jobs=args.jobs, policy=policy,
-                                       chaos=chaos, journal=journal)
+            summary = campaign.run(jobs=args.jobs, policy=policy,
+                                   chaos=chaos, journal=journal)
     except JournalError as err:
         print(f"repro fuzz: {err}", file=sys.stderr)
         return 2
@@ -568,8 +478,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     finally:
         if journal is not None:
             journal.close()
-    if campaign.shard_report is not None:
-        _shard_summary("fuzz", campaign.shard_report)
     # The chaos comparison uses the pre-triage text: reduction happens once,
     # in the parent, after the merge — it is not part of what parallelism
     # must reproduce byte-for-byte.
@@ -825,15 +733,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--chaos", type=int, default=None, metavar="SEED",
                        help="chaos self-test: randomly kill/hang/corrupt "
                             "supervised workers (seeded) and assert the "
-                            "output still matches a clean run; with "
-                            "--shards, SIGKILL whole shard processes "
-                            "instead")
-        p.add_argument("--shards", type=_positive_int, default=1,
-                       metavar="N",
-                       help="split the campaign into N lease-guarded shard "
-                            "processes with journal-backed work stealing "
-                            "and whole-shard crash recovery (default: 1; "
-                            "reports are byte-identical at any N)")
+                            "output still matches a clean run")
 
     p = sub.add_parser("bench", help="regenerate the paper's tables/figures")
     p.add_argument("workloads", nargs="*",

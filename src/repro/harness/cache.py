@@ -194,7 +194,6 @@ class CompileCache:
                   f"{on_disk or 'unknown'} (now {CODE_VERSION})",
                   file=sys.stderr)
         try:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
             atomic_write_text(marker, f"{CODE_VERSION}\n")
         except OSError:
             pass
@@ -227,7 +226,6 @@ class CompileCache:
     def _record_strike(self, key: str) -> None:
         strikes = self._strikes(key) + 1
         try:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
             atomic_write_text(self._strikes_path(key), f"{strikes}\n")
         except OSError:
             return
@@ -296,7 +294,6 @@ class CompileCache:
         if self.is_quarantined(key):
             return
         try:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
             atomic_write_bytes(
                 self._path(key),
                 pickle.dumps((payload, self._payload_max_uid(payload)),

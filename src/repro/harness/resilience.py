@@ -473,7 +473,7 @@ class Journal:
     is one completed task::
 
         {"key": "grep/minboost3", "sha": <sha256 of data>, "data": <base64
-         pickle of the task's result payload>, "meta": {...optional...}}
+         pickle of the task's result payload>}
 
     Appends are flushed and fsync'd before :meth:`record` returns, so a
     journaled task survives any crash of the campaign process.  A crash
@@ -494,9 +494,6 @@ class Journal:
         self.facets = facets
         #: key -> unpickled payload for every journaled task
         self.completed: dict[str, Any] = {}
-        #: key -> the record's ``meta`` dict (shard provenance etc.), for
-        #: every journaled task that carried one
-        self.meta: dict[str, dict] = {}
         self.recovered_bytes = 0  # torn bytes truncated during load
         if resume and self.path.exists():
             good_offset = self._load()
@@ -508,129 +505,80 @@ class Journal:
                       "fingerprint": fingerprint}
             if facets is not None:
                 header["facets"] = _jsonable_facets(facets)
-            if self.path.parent != Path(""):
-                self.path.parent.mkdir(parents=True, exist_ok=True)
             atomic_write_text(self.path, json.dumps(header) + "\n")
             self._fh = open(self.path, "ab")
-
-    @classmethod
-    def _check_header(cls, path: Path, header: dict, fingerprint: str,
-                      facets: Optional[dict]) -> None:
-        if header.get("journal") != "repro-campaign":
-            raise JournalError(f"{path}: not a campaign journal")
-        if header.get("version") != cls.VERSION:
-            raise JournalError(f"{path}: journal version "
-                               f"{header.get('version')} != {cls.VERSION}")
-        if header.get("fingerprint") != fingerprint:
-            diverged = _facet_divergence(header.get("facets"),
-                                         _jsonable_facets(facets)
-                                         if facets is not None else None)
-            raise JournalError(
-                f"{path}: journal belongs to a different campaign "
-                f"({diverged}) — delete it or drop --resume to start over")
 
     def _load(self) -> int:
         """Parse the journal, fill :attr:`completed`, and return the byte
         offset just past the last intact record."""
         raw = self.path.read_bytes()
-        header, completed, meta, good, dropped = self._scan(raw, self.path)
-        self._check_header(self.path, header, self.fingerprint, self.facets)
-        self.completed = completed
-        self.meta = meta
-        self.recovered_bytes = len(raw) - good
-        if dropped:
-            warnings.warn(
-                f"{self.path}: journal tail torn or corrupt — kept "
-                f"{len(completed)} record(s), dropped {dropped} "
-                f"({self.recovered_bytes} bytes truncated); the dropped "
-                f"task(s) will be recomputed")
-        return good
-
-    @classmethod
-    def _scan(cls, raw: bytes, path: Path
-              ) -> tuple[dict, dict[str, Any], dict[str, dict], int, int]:
-        """Parse header + records out of ``raw``.
-
-        Returns ``(header, completed, meta, good_offset, dropped)`` where
-        ``good_offset`` is the byte offset just past the last intact record
-        and ``dropped`` counts discarded (torn/corrupt) record lines.
-        """
         offset = raw.find(b"\n")
         if offset < 0:
-            raise JournalError(f"{path}: no journal header")
+            raise JournalError(f"{self.path}: no journal header")
         try:
             header = json.loads(raw[:offset].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
-            raise JournalError(f"{path}: unreadable journal header "
+            raise JournalError(f"{self.path}: unreadable journal header "
                                f"({err})") from None
-        if not isinstance(header, dict):
-            raise JournalError(f"{path}: not a campaign journal")
+        if not isinstance(header, dict) or \
+                header.get("journal") != "repro-campaign":
+            raise JournalError(f"{self.path}: not a campaign journal")
+        if header.get("version") != self.VERSION:
+            raise JournalError(f"{self.path}: journal version "
+                               f"{header.get('version')} != {self.VERSION}")
+        if header.get("fingerprint") != self.fingerprint:
+            diverged = _facet_divergence(header.get("facets"),
+                                         _jsonable_facets(self.facets)
+                                         if self.facets is not None else None)
+            raise JournalError(
+                f"{self.path}: journal belongs to a different campaign "
+                f"({diverged}) — delete it or drop --resume to start over")
         good = offset + 1
         rest = raw[good:]
-        completed: dict[str, Any] = {}
-        meta: dict[str, dict] = {}
         pos = 0
         while True:
             newline = rest.find(b"\n", pos)
             if newline < 0:
                 break  # torn tail: final line lost its newline to a crash
-            payload = cls._parse_record(rest[pos:newline])
+            payload = self._parse_record(rest[pos:newline])
             if payload is None:
                 break  # torn or corrupt record: discard it and the rest
-            completed[payload[0]] = payload[1]
-            if payload[2] is not None:
-                meta[payload[0]] = payload[2]
+            self.completed[payload[0]] = payload[1]
             pos = newline + 1
+        good += pos
         remainder = rest[pos:]
         dropped = remainder.count(b"\n")
         if remainder and not remainder.endswith(b"\n"):
             dropped += 1
-        return header, completed, meta, good + pos, dropped
-
-    @classmethod
-    def peek(cls, path: Path | str, fingerprint: Optional[str] = None,
-             facets: Optional[dict] = None
-             ) -> tuple[dict[str, Any], dict[str, dict]]:
-        """Read a journal's records without opening it for writing.
-
-        Unlike resuming, ``peek`` never truncates (the journal may belong
-        to a live writer mid-append — a torn tail is simply ignored) and
-        never warns.  Returns ``(completed, meta)``.  When ``fingerprint``
-        is given the header is verified against it.
-        """
-        raw = Path(path).read_bytes()
-        header, completed, meta, _, _ = cls._scan(raw, Path(path))
-        if fingerprint is not None:
-            cls._check_header(Path(path), header, fingerprint, facets)
-        return completed, meta
+        self.recovered_bytes = len(raw) - good
+        if dropped:
+            warnings.warn(
+                f"{self.path}: journal tail torn or corrupt — kept "
+                f"{len(self.completed)} record(s), dropped {dropped} "
+                f"({self.recovered_bytes} bytes truncated); the dropped "
+                f"task(s) will be recomputed")
+        return good
 
     @staticmethod
-    def _parse_record(line: bytes
-                      ) -> Optional[tuple[str, Any, Optional[dict]]]:
+    def _parse_record(line: bytes) -> Optional[tuple[str, Any]]:
         try:
             record = json.loads(line.decode("utf-8"))
             data = record["data"]
             if hashlib.sha256(data.encode()).hexdigest() != record["sha"]:
                 return None
-            return (record["key"], pickle.loads(base64.b64decode(data)),
-                    record.get("meta"))
+            return record["key"], pickle.loads(base64.b64decode(data))
         except Exception:
             return None
 
-    def record(self, key: str, payload: Any,
-               meta: Optional[dict] = None) -> None:
+    def record(self, key: str, payload: Any) -> None:
         """Durably append one completed task.  Safe to call from signal-
         interrupted contexts: the line is fully written + fsync'd or the
-        torn tail is discarded on the next load.  ``meta`` (a small
-        JSON-serialisable dict — shard provenance, steal attribution) rides
-        along outside the checksummed payload."""
+        torn tail is discarded on the next load."""
         data = base64.b64encode(
             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)).decode()
         record = {"key": key,
                   "sha": hashlib.sha256(data.encode()).hexdigest(),
                   "data": data}
-        if meta is not None:
-            record["meta"] = meta
         self._fh.write(json.dumps(record).encode("utf-8") + b"\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())

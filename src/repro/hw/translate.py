@@ -747,8 +747,8 @@ def run_functional_translated(sim, entry_name: str, fuel: int, deadline):
             rns = _bind_functional(unit, sim, "record", be=BE)
             rb = ({p: tuple(rns[n] for n in names)
                    for p, names in unit.fns.items()},
-                  rns["LL"], rns["LS"])
-        rfns, LL, LS = rb
+                  rns["LL"], rns["LS"], rns)
+        rfns, LL, LS, _ = rb
         LL.clear()
         LS.clear()
         i0, n0 = result.instr_count, result.nop_count
@@ -871,6 +871,12 @@ def run_functional_translated(sim, entry_name: str, fuel: int, deadline):
                 return sim._interp(proc, a, fuel, deadline)
             return result  # k == 4: halt / program end
     finally:
+        # The generated functions and their namespace form a reference
+        # cycle that also holds the simulated memory: break it so the
+        # memory is freed when the run ends, not at the next full gc.
+        ns.clear()
+        if rb is not None:
+            rb[3].clear()
         if BE is not None:
             execs = sim._stats_hot.block_execs
             bkeys = unit.block_keys
@@ -1378,6 +1384,7 @@ def run_superscalar_translated(sim, entry_name):
             tf = fnmap[proc.name]
             blocks = decoded[proc.name]
     finally:
+        ns.clear()  # break the namespace cycle, as in the functional run
         sim.translate_counters = {
             "translated_blocks": unit.translated_blocks,
             "superblocks_chained": unit.superblocks_chained,

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional
 
 STATS_SCHEMA = "repro-stats/1"
-SHARDS_SCHEMA = "repro-shards/1"
 SERVICE_SCHEMA = "repro-service/1"
 
 
@@ -409,39 +408,6 @@ class SimStats:
             "trace_invalidations": self.trace_invalidations,
             "trace_misses": self.trace_misses,
             "translated_blocks": self.translated_blocks,
-        }
-
-
-@dataclass
-class ShardStats:
-    """Counters from one sharded campaign run.
-
-    Accumulated by :func:`repro.harness.coordinator.run_sharded`;
-    ``snapshot()`` lands in the ``repro-shards/1`` section of
-    ``bench --json`` next to the ``repro-stats/1`` counters.
-    """
-
-    shards: int = 0  # shard count actually used (after clamping)
-    tasks: int = 0  # total task matrix size
-    resumed_tasks: int = 0  # records adopted from prior journals
-    restarts: int = 0  # crashed shard processes respawned
-    chaos_kills: int = 0  # whole-shard SIGKILLs injected by chaos
-    steals: int = 0  # lease takeovers that produced records
-    stolen_tasks: int = 0  # records computed under a stolen lease
-    salvaged_tasks: int = 0  # records recovered by the coordinator
-    failed_tasks: int = 0  # tasks degraded to structured failures
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "chaos_kills": self.chaos_kills,
-            "failed_tasks": self.failed_tasks,
-            "restarts": self.restarts,
-            "resumed_tasks": self.resumed_tasks,
-            "salvaged_tasks": self.salvaged_tasks,
-            "shards": self.shards,
-            "steals": self.steals,
-            "stolen_tasks": self.stolen_tasks,
-            "tasks": self.tasks,
         }
 
 

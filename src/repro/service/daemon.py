@@ -305,7 +305,6 @@ class CampaignService:
             kind=req["kind"], params=req.get("params") or {},
             deadline=req.get("deadline"))
         job = _Job(record, self.state_dir / "jobs" / record.id)
-        job.dir.mkdir(parents=True, exist_ok=True)
         record.save(job.dir)
         self.jobs[record.id] = job
         self._pending += 1

@@ -162,9 +162,6 @@ class VerifyCampaign:
         self.checker = checker or DifferentialChecker()
         self.progress = progress or (lambda msg: None)
         self.cache = cache
-        #: :class:`repro.harness.coordinator.ShardReport` from the last
-        #: :meth:`run_sharded` call
-        self.shard_report = None
         #: jkey -> structured supervision-failure record (kind, attempts,
         #: error) for buckets that degraded at the harness level during the
         #: last :meth:`run` — the campaign service reads these for its
@@ -306,62 +303,6 @@ class VerifyCampaign:
             summary.results.append(bucket)
             summary.divergences.extend(divergences)
             summary.oracle_errors.extend(oracle_errors)
-        return summary
-
-    def run_sharded(self, shards: int, campaign_dir, fingerprint: str,
-                    facets: Optional[dict] = None, jobs: int = 1,
-                    policy=None, shard_policy=None, shard_chaos=None,
-                    resume: bool = False, lease_ttl: float = 15.0
-                    ) -> CampaignSummary:
-        """Run the campaign across ``shards`` independent lease-guarded
-        worker processes (see :mod:`repro.harness.coordinator`).
-
-        Each shard runs its round-robin slice of the (workload, model)
-        buckets through the supervised pool, checkpointing into its own
-        journal under ``campaign_dir``; the merge back into the summary is
-        in serial bucket order, so the formatted output is byte-identical
-        to ``jobs=1``.  A bucket no shard could recover degrades to an
-        empty :class:`CampaignResult` plus an oracle error — the campaign
-        reports partial results instead of dying with a shard.  The
-        resulting :class:`~repro.harness.coordinator.ShardReport` is
-        stored on ``self.shard_report``.
-        """
-        from repro.harness.coordinator import run_sharded
-
-        if self._custom_checker:
-            raise ValueError("sharded campaigns cannot carry a custom "
-                             "checker (closures don't cross process "
-                             "boundaries)")
-        cache_dir = (str(self.cache.cache_dir) if self.cache is not None
-                     else None)
-        buckets = [(w.name, model_key)
-                   for w in self.workloads for model_key in self.model_keys]
-        keys = [f"{wname}/{model_key}" for wname, model_key in buckets]
-        tasks = [(wname, model_key, self.seeds, self.seed_start, cache_dir)
-                 for wname, model_key in buckets]
-        report = run_sharded(
-            _bucket_worker, tasks, keys, campaign_dir, fingerprint,
-            facets=facets, shards=shards, jobs=jobs, policy=policy,
-            shard_policy=shard_policy, shard_chaos=shard_chaos,
-            lease_ttl=lease_ttl, resume=resume, progress=self.progress)
-        summary = CampaignSummary()
-        for (wname, model_key), jkey in zip(buckets, keys):
-            if jkey in report.completed:
-                bucket, divergences, oracle_errors = report.completed[jkey]
-                summary.results.append(bucket)
-                summary.divergences.extend(divergences)
-                summary.oracle_errors.extend(oracle_errors)
-            else:
-                info = report.failures.get(jkey) or {
-                    "error": "bucket missing from every shard journal"}
-                summary.results.append(
-                    CampaignResult(workload=wname, config=model_key))
-                summary.oracle_errors.append(
-                    f"{wname}/{model_key}: shard failed: {info['error']} "
-                    f"(repro: "
-                    + verify_repro_cmd(wname, model_key, seeds=self.seeds,
-                                       seed_start=self.seed_start) + ")")
-        self.shard_report = report
         return summary
 
     def _run_bucket(self, wname: str, model_key: str, prepared: Program,

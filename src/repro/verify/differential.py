@@ -153,7 +153,9 @@ class DifferentialChecker:
         try:
             sim.run()
         except Trap as trap:
-            outcome.trap = trap
+            # Drop the traceback: its frames hold this outcome, so keeping
+            # it would pin the simulator's memory in a reference cycle.
+            outcome.trap = trap.with_traceback(None)
         outcome.output = sim.result.output
         outcome.trap = outcome.trap or sim.result.trap
         outcome.instr_count = sim.result.instr_count
@@ -176,7 +178,9 @@ class DifferentialChecker:
         try:
             sim.run()
         except Trap as trap:
-            outcome.trap = trap
+            # Drop the traceback: its frames hold this outcome, so keeping
+            # it would pin the simulator's memory in a reference cycle.
+            outcome.trap = trap.with_traceback(None)
         except RuntimeError as err:
             outcome.error = f"{type(err).__name__}: {err}"
         outcome.output = sim.result.output

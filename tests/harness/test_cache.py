@@ -181,9 +181,9 @@ def test_unwritable_cache_dir_degrades_to_uncached(tmp_path):
 
 
 # ------------------------------------------------------- concurrent access
-# The sharded campaign coordinator shares one content-addressed cache
-# across every shard process, so simultaneous store/load of the same key
-# is the norm, not a race to apologize for.  Atomic tempfile-fsync-rename
+# The ``--jobs N`` workers and the campaign service all share one
+# content-addressed cache, so simultaneous store/load of the same key is
+# the norm, not a race to apologize for.  Atomic tempfile-fsync-rename
 # stores must make a torn read impossible, and the churn must never charge
 # quarantine strikes against a healthy key.
 

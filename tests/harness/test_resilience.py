@@ -300,40 +300,6 @@ def test_fingerprint_mismatch_without_facets_stays_generic(tmp_path,
         Journal(path, "another-fingerprint", resume=True)
 
 
-def test_peek_reads_without_truncating(tmp_path, fingerprint):
-    path = tmp_path / "c.journal"
-    journal = Journal(path, fingerprint)
-    journal.record("a", 1, meta={"by": "shard-0", "stolen": False})
-    journal.record("b", 2)
-    journal.close()
-    torn = path.read_bytes() + b'{"key": "c", "sha": "0123'
-    path.write_bytes(torn)
-    completed, meta = Journal.peek(path)
-    assert completed == {"a": 1, "b": 2}
-    assert meta == {"a": {"by": "shard-0", "stolen": False}}
-    assert path.read_bytes() == torn  # untouched: a live writer may own it
-
-
-def test_peek_verifies_the_fingerprint_when_given(tmp_path, fingerprint):
-    path = tmp_path / "c.journal"
-    Journal(path, fingerprint).close()
-    Journal.peek(path, fingerprint)  # no raise
-    with pytest.raises(JournalError):
-        Journal.peek(path, "another-fingerprint")
-
-
-def test_record_meta_round_trips(tmp_path, fingerprint):
-    path = tmp_path / "c.journal"
-    journal = Journal(path, fingerprint)
-    journal.record("a", 1, meta={"by": "salvage", "stolen": True})
-    journal.record("b", 2)
-    journal.close()
-    resumed = Journal(path, fingerprint, resume=True)
-    assert resumed.meta == {"a": {"by": "salvage", "stolen": True}}
-    assert resumed.completed == {"a": 1, "b": 2}
-    resumed.close()
-
-
 # ----------------------------------------------------------- batch deadline
 def test_preemptive_property():
     assert not SupervisionPolicy().preemptive

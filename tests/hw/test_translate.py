@@ -9,6 +9,7 @@ generator inlines, the backend-selection knob, and the CompileCache
 round-trip of generated-code artifacts.
 """
 
+import gc
 import os
 import random
 import subprocess
@@ -103,6 +104,29 @@ def test_superscalar_translate_actually_translates():
     sim.run()
     assert sim.translate_counters["translated_blocks"] \
         == unit.translated_blocks
+
+
+def test_translated_runs_leave_no_reference_cycles():
+    """The generated functions' namespace holds the simulated memory; left
+    as a reference cycle it would stay alive until the next full gc."""
+    wl = get("grep")
+    compiled = compile_minic(wl.source, CONFIGS["minboost3"], wl.train)
+    image = make_input_image(compiled.program, wl.train)
+
+    def run_both():
+        FunctionalSim(compiled.program, input_image=image,
+                      backend="translate").run()
+        SuperscalarSim(compiled.sched, input_image=image,
+                       backend="translate").run()
+
+    run_both()  # builds and caches both translation units
+    gc.collect()
+    gc.disable()
+    try:
+        run_both()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_functional_translate_fuel_exhaustion_is_exact():

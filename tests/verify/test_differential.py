@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.frontend import compile_source
@@ -42,6 +44,15 @@ def _prepare(model_key: str = "minboost3"):
     return sched, reference
 
 
+def _trap_plan(reference) -> FaultPlan:
+    """A plan injecting an address error at the first trap candidate."""
+    target = trap_candidates(reference)[0]
+    return FaultPlan(seed=0, traps=(TrapInjection(
+        target_uid=target.origin or target.uid,
+        kind=TrapKind.ADDRESS_ERROR, addr=0xFA000040,
+        mnemonic=target.op.mnemonic),))
+
+
 # ------------------------------------------------------------- end-to-end
 def test_benign_plan_agrees():
     sched, reference = _prepare()
@@ -55,11 +66,7 @@ def test_benign_plan_agrees():
 @pytest.mark.parametrize("model_key", ["squashing", "boost1", "minboost3"])
 def test_injected_trap_surfaces_identically(model_key):
     sched, reference = _prepare(model_key)
-    target = trap_candidates(reference)[0]
-    plan = FaultPlan(seed=0, traps=(TrapInjection(
-        target_uid=target.origin or target.uid,
-        kind=TrapKind.ADDRESS_ERROR, addr=0xFA000040,
-        mnemonic=target.op.mnemonic),))
+    plan = _trap_plan(reference)
     report = DifferentialChecker().check(
         sched, reference, plan, workload="micro", config=model_key)
     assert report.ok and report.trapped
@@ -68,6 +75,23 @@ def test_injected_trap_surfaces_identically(model_key):
     assert (ssc_trap.kind, ssc_trap.instr_uid, ssc_trap.addr) == \
         (ref_trap.kind, ref_trap.instr_uid, ref_trap.addr)
     assert report.superscalar.injected_hits >= 1
+
+
+def test_trapping_run_leaves_no_reference_cycles():
+    """A kept trap's traceback would pin the run's frames, and with them
+    the simulator's memory, until the next full gc."""
+    sched, reference = _prepare()
+    plan = _trap_plan(reference)
+    checker = DifferentialChecker()
+    gc.collect()
+    gc.disable()
+    try:
+        report = checker.check(sched, reference, plan, workload="micro")
+        assert report.trapped
+        del report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_broken_shift_buffer_is_convicted():
