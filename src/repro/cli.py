@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -28,10 +29,10 @@ from typing import Optional
 from repro.frontend import CodegenError, LexError, ParseError
 from repro.harness.cache import CODE_VERSION, CompileCache
 from repro.hw.backend import BACKENDS
-from repro.harness.experiments import BENCH_CONFIG_KEYS, Lab
+from repro.harness.experiments import Lab
 from repro.harness.fsutil import atomic_write_json
 from repro.harness.pipeline import CompileConfig, compile_minic
-from repro.harness.report import bench_json, render_all, render_stats
+from repro.harness.report import bench_json, render_stats
 from repro.harness.resilience import (
     CampaignInterrupted, ChaosConfig, Journal, JournalError,
     SupervisionPolicy, graceful_signals,
@@ -76,9 +77,9 @@ def _positive_float(text: str) -> float:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a positive number, got {text!r}") from None
-    if not value > 0 or value != value:  # rejects 0, negatives, and NaN
+    if not 0 < value < math.inf:  # rejects 0, negatives, NaN and inf
         raise argparse.ArgumentTypeError(
-            f"must be greater than 0, got {text}")
+            f"must be greater than 0 and finite, got {text}")
     return value
 
 
@@ -134,15 +135,23 @@ def _make_cache(args: argparse.Namespace) -> Optional[CompileCache]:
     return CompileCache(args.cache_dir)
 
 
+#: the dests of the supervision options every campaign command and `serve`
+#: declare (add_supervision_opts)
+SUPERVISION_OPTS = ("jobs", "cache_dir", "no_cache", "timeout", "retries",
+                    "backoff", "chaos")
+
 #: fallback wall-clock timeout when --chaos is given without --timeout —
 #: chaos hangs workers, so *something* has to reap them
 CHAOS_DEFAULT_TIMEOUT = 60.0
 
 
-def _make_policy(args: argparse.Namespace) -> Optional[SupervisionPolicy]:
-    """A supervision policy when any resilience knob was turned, else None
-    (plain deterministic execution, exactly as before)."""
-    if args.timeout is None and args.retries is None and args.chaos is None:
+def make_policy(args: argparse.Namespace,
+                deadline: Optional[float] = None,
+                ) -> Optional[SupervisionPolicy]:
+    """A supervision policy when any resilience knob was turned or a batch
+    ``deadline`` applies, else None (plain deterministic execution)."""
+    if (args.timeout is None and args.retries is None and args.chaos is None
+            and deadline is None):
         return None
     timeout = args.timeout
     if timeout is None and args.chaos is not None:
@@ -150,11 +159,12 @@ def _make_policy(args: argparse.Namespace) -> Optional[SupervisionPolicy]:
     retries = args.retries if args.retries is not None else 2
     return SupervisionPolicy(timeout=timeout, retries=retries,
                              backoff=args.backoff,
-                             seed=args.chaos if args.chaos is not None else 0)
+                             seed=args.chaos if args.chaos is not None else 0,
+                             deadline=deadline)
 
 
-def _make_chaos(args: argparse.Namespace,
-                policy: Optional[SupervisionPolicy]) -> Optional[ChaosConfig]:
+def make_chaos(args: argparse.Namespace,
+               policy: Optional[SupervisionPolicy]) -> Optional[ChaosConfig]:
     if args.chaos is None:
         return None
     # Never inject more consecutive faults than the retry budget allows, or
@@ -162,28 +172,145 @@ def _make_chaos(args: argparse.Namespace,
     return ChaosConfig(seed=args.chaos, max_faults=min(2, policy.retries))
 
 
-def _open_journal(args: argparse.Namespace, command: str, fingerprint: str,
-                  facets: Optional[dict] = None) -> Optional[Journal]:
-    """The campaign journal when --journal/--resume asked for one.
+# ---------------------------------------------------------------- campaigns
+# bench, verify and fuzz share one path: build the campaign from the
+# command's options, journal it under its facets, run it under the
+# supervision policy.  The campaign service runs every job through the same
+# functions (repro.service.jobs.run_job), so a job's report is the CLI's.
 
-    Raises :class:`JournalError` when resuming against a journal written by
-    a different campaign (workloads/models/seeds changed) — the error names
-    the facet(s) that diverged.
+def _progress(msg: str) -> None:
+    print(msg, file=sys.stderr, flush=True)
+
+
+def _make_lab(args: argparse.Namespace, progress=None) -> Lab:
+    workloads = all_workloads()
+    if args.workloads:
+        unknown = set(args.workloads) - {w.name for w in workloads}
+        if unknown:
+            raise ValueError(
+                f"unknown workloads: {', '.join(sorted(unknown))}")
+        workloads = [w for w in workloads if w.name in args.workloads]
+    if args.sabotage and args.sabotage not in {w.name for w in workloads}:
+        raise ValueError(f"unknown sabotage workload: {args.sabotage}")
+    return Lab(workloads, sabotage=args.sabotage, cache=_make_cache(args),
+               collect_stats=args.stats)
+
+
+def _make_verify(args: argparse.Namespace, progress=None):
+    from repro.verify import VerifyCampaign
+
+    if args.seed is not None:
+        seeds, seed_start = 1, args.seed
+    else:
+        seeds, seed_start = args.seeds, args.seed_start
+    return VerifyCampaign(
+        workload_names=args.workloads or None, model_keys=args.models or None,
+        seeds=seeds, seed_start=seed_start, progress=progress,
+        cache=_make_cache(args))
+
+
+def _make_fuzz(args: argparse.Namespace, progress=None):
+    from repro.verify.fuzz import FuzzCampaign, GenConfig
+
+    return FuzzCampaign(
+        count=args.count, seed_start=args.seed_start,
+        config=GenConfig(size=args.size, pred_lo=args.pred_lo,
+                         pred_hi=args.pred_hi),
+        model_keys=args.models or None, backends=args.backends or None,
+        plans=args.plans, sabotage=args.sabotage,
+        dynamic_variants=args.dynamic_variants or None, progress=progress)
+
+
+#: campaign kind -> builder; a builder raises ValueError for bad options
+CAMPAIGNS = {"bench": _make_lab, "verify": _make_verify, "fuzz": _make_fuzz}
+
+
+def campaign_args(kind: str, params: Optional[dict] = None,
+                  runtime: Optional[dict] = None) -> argparse.Namespace:
+    """The options of ``repro <kind>`` at their defaults, overlaid with
+    ``runtime`` (execution settings, by flag dest: jobs, timeout, chaos …)
+    and then ``params`` (the campaign's own options, also by flag dest)."""
+    args = make_parser().parse_args([kind])
+    vars(args).update(runtime or {})
+    vars(args).update(params or {})
+    return args
+
+
+def campaign_facets(kind: str, campaign) -> dict:
+    return dict(command=kind, code_version=CODE_VERSION, **campaign.facets())
+
+
+def run_campaign(kind: str, campaign, args: argparse.Namespace,
+                 deadline: Optional[float] = None, skip=()):
+    """Journal and run a built campaign under the supervision ``args`` ask
+    for; ``deadline`` bounds the whole batch, ``skip`` names journal keys
+    that must not run.  Returns the campaign's result, which renders its
+    report with ``format()`` and judges it with ``ok``.
+
+    Raises :class:`JournalError` when resuming a journal written by a
+    different campaign, :class:`CampaignInterrupted` on SIGINT/SIGTERM.
     """
-    if not (args.resume or args.journal):
+    journal = None
+    if args.resume or args.journal:
+        facets = campaign_facets(kind, campaign)
+        journal = Journal(args.journal or f".repro-{kind}.journal",
+                          Journal.make_fingerprint(**facets),
+                          resume=args.resume, facets=facets)
+    policy = make_policy(args, deadline)
+    extra = {"skip": skip} if skip else {}  # fuzz is never breaker-gated
+    try:
+        return campaign.run(jobs=args.jobs, policy=policy,
+                            chaos=make_chaos(args, policy), journal=journal,
+                            **extra)
+    finally:
+        if journal is not None:
+            journal.close()
+
+
+def _build(kind: str, args: argparse.Namespace, progress=None):
+    try:
+        return CAMPAIGNS[kind](args, progress)
+    except ValueError as err:
+        print(f"repro {kind}: {err}", file=sys.stderr)
         return None
-    path = args.journal or f".repro-{command}.journal"
-    return Journal(path, fingerprint, resume=args.resume, facets=facets)
 
 
-def _resume_hint(args: argparse.Namespace,
-                 journal: Optional[Journal]) -> str:
-    if journal is None:
-        return ""
-    hint = "; resume with --resume"
-    if args.journal:
-        hint += f" --journal {args.journal}"
-    return hint
+def _run_cli_campaign(kind: str, campaign, args: argparse.Namespace,
+                      unit: str):
+    """:func:`run_campaign` plus what bench, verify and fuzz share around
+    it: SIGTERM handling, the chaos self-test (a clean serial oracle run
+    first, a byte comparison after), and the exit-2 journal-mismatch and
+    exit-130 interrupt paths.  Returns ``(result, exit code)``; the result
+    is None when the campaign did not finish."""
+    clean_text = None
+    try:
+        with graceful_signals():
+            if args.chaos is not None:
+                # Chaos self-test oracle: the same campaign, clean and
+                # serial (it also warms the compile cache for the workers).
+                clean_text = CAMPAIGNS[kind](args).run(jobs=1).format()
+            result = run_campaign(kind, campaign, args)
+    except JournalError as err:
+        print(f"repro {kind}: {err}", file=sys.stderr)
+        return None, 2
+    except CampaignInterrupted as intr:
+        hint = ""
+        if args.resume or args.journal:
+            hint = "; resume with --resume"
+            if args.journal:
+                hint += f" --journal {args.journal}"
+        print(f"{kind}: interrupted — {intr.completed}/{intr.total} {unit} "
+              f"finished{hint}", file=sys.stderr)
+        return None, 130
+    if clean_text is None:
+        return result, 0
+    if result.format() == clean_text:
+        print(f"{kind}: chaos self-test PASSED — supervised run "
+              "byte-identical to the clean run", file=sys.stderr)
+        return result, 0
+    print(f"{kind}: chaos self-test FAILED — supervised run diverged "
+          "from the clean run", file=sys.stderr)
+    return result, 1
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -264,62 +391,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    workloads = all_workloads()
-    if args.workloads:
-        known = {w.name for w in workloads}
-        unknown = set(args.workloads) - known
-        if unknown:
-            print(f"unknown workloads: {', '.join(sorted(unknown))}",
-                  file=sys.stderr)
-            return 2
-        workloads = [w for w in workloads if w.name in args.workloads]
-    if args.sabotage and args.sabotage not in {w.name for w in workloads}:
-        print(f"unknown sabotage workload: {args.sabotage}", file=sys.stderr)
-        return 2
-    facets = dict(command="bench", code_version=CODE_VERSION,
-                  workloads=[w.name for w in workloads],
-                  sabotage=args.sabotage, configs=BENCH_CONFIG_KEYS,
-                  stats=args.stats)
-    fingerprint = Journal.make_fingerprint(**facets)
-    policy = _make_policy(args)
-    chaos = _make_chaos(args, policy)
-    try:
-        journal = _open_journal(args, "bench", fingerprint, facets)
-    except JournalError as err:
-        print(f"repro bench: {err}", file=sys.stderr)
+    lab = _build("bench", args)
+    if lab is None:
         return 2
     t0 = time.time()
-    lab = Lab(workloads, sabotage=args.sabotage, cache=_make_cache(args),
-              collect_stats=args.stats)
-    clean_text = None
-    try:
-        with graceful_signals():
-            if args.chaos is not None:
-                # Chaos self-test: a clean serial run is the oracle the
-                # supervised chaotic run must byte-match (it also warms the
-                # compile cache, making the chaotic run cheap).
-                clean = Lab(workloads, sabotage=args.sabotage,
-                            cache=_make_cache(args),
-                            collect_stats=args.stats)
-                clean.populate(jobs=1)
-                clean_text = render_all(clean)
-            if args.jobs > 1 or policy is not None or journal is not None:
-                lab.populate(args.jobs, policy=policy, chaos=chaos,
-                             journal=journal)
-            text = render_all(lab)
-    except JournalError as err:
-        print(f"repro bench: {err}", file=sys.stderr)
-        return 2
-    except CampaignInterrupted as intr:
-        print(f"bench: interrupted — {intr.completed}/{intr.total} cells "
-              f"finished{_resume_hint(args, journal)}", file=sys.stderr)
-        return 130
-    finally:
-        if journal is not None:
-            journal.close()
-    print(text)
+    lab, exit_code = _run_cli_campaign("bench", lab, args, "cells")
+    if lab is None:
+        return exit_code
+    print(lab.format())
     if args.stats:
-        # Printed after (not inside) render_all so the chaos self-test's
+        # Printed after (not inside) the report so the chaos self-test's
         # byte-comparison of the core report is unaffected.
         print(render_stats(lab))
     # Timing is nondeterministic — keep it off stdout so reports diff clean.
@@ -331,15 +412,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         from repro.harness.report import write_experiments_md
         write_experiments_md(lab, args.write_experiments)
         print(f"wrote {args.write_experiments}", file=sys.stderr)
-    exit_code = 0
-    if clean_text is not None:
-        if text == clean_text:
-            print("bench: chaos self-test PASSED — supervised run "
-                  "byte-identical to the clean run", file=sys.stderr)
-        else:
-            print("bench: chaos self-test FAILED — supervised run diverged "
-                  "from the clean run", file=sys.stderr)
-            exit_code = 1
     if lab.errors:
         print(f"bench: {len(lab.errors)} cell(s) failed — see the error "
               "summary above", file=sys.stderr)
@@ -348,149 +420,50 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from repro.verify import VerifyCampaign, run_selftest
+    from repro.verify import run_selftest
 
-    def progress(msg: str) -> None:
-        print(msg, file=sys.stderr, flush=True)
-
-    exit_code = 0
+    campaign = _build("verify", args, _progress)
+    if campaign is None:
+        return 2
     if not args.no_selftest:
         selftest = run_selftest()
         print(selftest.format())
         print()
         if not selftest.caught:
             return 2
-
-    if args.seed is not None:
-        seeds, seed_start = 1, args.seed
-    else:
-        seeds, seed_start = args.seeds, args.seed_start
-
-    def make_campaign() -> VerifyCampaign:
-        return VerifyCampaign(
-            workload_names=args.workloads or None,
-            model_keys=args.models or None,
-            seeds=seeds, seed_start=seed_start, progress=progress,
-            cache=_make_cache(args))
-
-    try:
-        campaign = make_campaign()
-    except ValueError as err:
-        print(f"repro verify: {err}", file=sys.stderr)
-        return 2
-    facets = dict(command="verify", code_version=CODE_VERSION,
-                  workloads=[w.name for w in campaign.workloads],
-                  models=campaign.model_keys, seeds=seeds,
-                  seed_start=seed_start)
-    fingerprint = Journal.make_fingerprint(**facets)
-    policy = _make_policy(args)
-    chaos = _make_chaos(args, policy)
-    try:
-        journal = _open_journal(args, "verify", fingerprint, facets)
-    except JournalError as err:
-        print(f"repro verify: {err}", file=sys.stderr)
-        return 2
-    clean_text = None
-    try:
-        with graceful_signals():
-            if args.chaos is not None:
-                # Chaos self-test oracle: the same campaign, clean + serial.
-                clean_text = make_campaign().run(jobs=1).format()
-            summary = campaign.run(jobs=args.jobs, policy=policy,
-                                   chaos=chaos, journal=journal)
-    except JournalError as err:
-        print(f"repro verify: {err}", file=sys.stderr)
-        return 2
-    except CampaignInterrupted as intr:
-        print(f"verify: interrupted — {intr.completed}/{intr.total} buckets "
-              f"finished{_resume_hint(args, journal)}", file=sys.stderr)
-        return 130
-    finally:
-        if journal is not None:
-            journal.close()
-    text = summary.format()
-    print(text)
-    if not summary.ok:
-        exit_code = 1
-    if clean_text is not None:
-        if text == clean_text:
-            print("verify: chaos self-test PASSED — supervised run "
-                  "byte-identical to the clean run", file=sys.stderr)
-        else:
-            print("verify: chaos self-test FAILED — supervised run diverged "
-                  "from the clean run", file=sys.stderr)
-            exit_code = 1
-    return exit_code
+    summary, exit_code = _run_cli_campaign("verify", campaign, args,
+                                           "buckets")
+    if summary is None:
+        return exit_code
+    print(summary.format())
+    return exit_code if summary.ok else 1
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.obs.stats import STATS_SCHEMA
-    from repro.verify.fuzz import FuzzCampaign, GenConfig
 
-    def progress(msg: str) -> None:
-        print(msg, file=sys.stderr, flush=True)
-
-    config = GenConfig(size=args.size, pred_lo=args.pred_lo,
-                       pred_hi=args.pred_hi)
-    try:
-        campaign = FuzzCampaign(
-            count=args.count, seed_start=args.seed_start, config=config,
-            model_keys=args.models or None, backends=args.backends or None,
-            plans=args.plans, sabotage=args.sabotage,
-            dynamic_variants=args.dynamic_variants or None,
-            progress=progress)
-    except ValueError as err:
-        print(f"repro fuzz: {err}", file=sys.stderr)
+    campaign = _build("fuzz", args, _progress)
+    if campaign is None:
         return 2
-    facets = dict(command="fuzz", code_version=CODE_VERSION,
-                  **campaign.facets())
-    fingerprint = Journal.make_fingerprint(**facets)
-    policy = _make_policy(args)
-    chaos = _make_chaos(args, policy)
-    try:
-        journal = _open_journal(args, "fuzz", fingerprint, facets)
-    except JournalError as err:
-        print(f"repro fuzz: {err}", file=sys.stderr)
-        return 2
-    clean_text = None
-    try:
-        with graceful_signals():
-            if args.chaos is not None:
-                # Chaos self-test oracle: the same campaign, clean + serial.
-                clean_campaign = FuzzCampaign(
-                    count=args.count, seed_start=args.seed_start,
-                    config=config, model_keys=args.models or None,
-                    backends=args.backends or None, plans=args.plans,
-                    sabotage=args.sabotage,
-                    dynamic_variants=args.dynamic_variants or None)
-                clean_text = clean_campaign.run(jobs=1).format()
-            summary = campaign.run(jobs=args.jobs, policy=policy,
-                                   chaos=chaos, journal=journal)
-    except JournalError as err:
-        print(f"repro fuzz: {err}", file=sys.stderr)
-        return 2
-    except CampaignInterrupted as intr:
-        print(f"fuzz: interrupted — {intr.completed}/{intr.total} programs "
-              f"finished{_resume_hint(args, journal)}", file=sys.stderr)
-        return 130
-    finally:
-        if journal is not None:
-            journal.close()
     # The chaos comparison uses the pre-triage text: reduction happens once,
     # in the parent, after the merge — it is not part of what parallelism
     # must reproduce byte-for-byte.
-    text = summary.format()
+    summary, exit_code = _run_cli_campaign("fuzz", campaign, args,
+                                           "programs")
+    if summary is None:
+        return exit_code
     campaign.finalize(summary, triage_dir=Path(args.triage_dir),
                       reduce=not args.no_reduce)
     print(summary.format())
-    exit_code = 0 if summary.ok else 1
+    if not summary.ok:
+        exit_code = 1
     if args.json:
         stats = summary.stats()
         atomic_write_json(args.json, {
             "schema": "repro-fuzz/1",
-            "facets": facets,
+            "facets": campaign_facets("fuzz", campaign),
             "stats": {"schema": STATS_SCHEMA, "fuzz": stats.snapshot()},
             "divergences": [{
                 "program": d.program, "seed": d.seed,
@@ -506,36 +479,18 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             } for t in summary.triage],
         })
         print(f"wrote {args.json}", file=sys.stderr)
-    if clean_text is not None:
-        if text == clean_text:
-            print("fuzz: chaos self-test PASSED — supervised run "
-                  "byte-identical to the clean run", file=sys.stderr)
-        else:
-            print("fuzz: chaos self-test FAILED — supervised run diverged "
-                  "from the clean run", file=sys.stderr)
-            exit_code = 1
     return exit_code
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.service.daemon import CampaignService, ServiceChaosConfig
+    from repro.service.daemon import CampaignService
 
-    chaos = None
-    if args.chaos is not None:
-        retries = args.retries if args.retries is not None else 2
-        # Never kill a runner more times than its retry budget allows, or
-        # the chaos self-test could not converge to clean reports.
-        chaos = ServiceChaosConfig(seed=args.chaos,
-                                   max_faults=min(2, retries))
-    runtime = {"jobs": args.jobs, "timeout": args.timeout,
-               "retries": args.retries, "backoff": args.backoff,
-               "cache_dir": args.cache_dir, "no_cache": args.no_cache}
     service = CampaignService(
         args.socket, args.state_dir, queue_bound=args.queue_bound,
-        runtime=runtime, chaos=chaos, resume=args.resume,
-        breaker_threshold=args.breaker_threshold,
+        runtime={name: getattr(args, name) for name in SUPERVISION_OPTS},
+        resume=args.resume, breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown)
     return asyncio.run(service.run())
 
@@ -700,7 +655,9 @@ def make_parser() -> argparse.ArgumentParser:
     add_backend_opt(p)
     p.set_defaults(fn=cmd_run)
 
-    def add_parallel_opts(p: argparse.ArgumentParser) -> None:
+    def add_supervision_opts(p: argparse.ArgumentParser) -> None:
+        # SUPERVISION_OPTS names these dests: `serve` hands them to every
+        # job, where they mean exactly what they mean here.
         p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                        help="worker processes (default: 1 = in-process; "
                             "reports are byte-identical at any N)")
@@ -719,9 +676,19 @@ def make_parser() -> argparse.ArgumentParser:
                        help="extra attempts for a timed-out/killed/failed "
                             "task, with exponential backoff + seeded jitter "
                             "(default: 2 once supervision is active)")
-        p.add_argument("--backoff", type=float, default=0.5, metavar="SECS",
+        p.add_argument("--backoff", type=_positive_float, default=0.5,
+                       metavar="SECS",
                        help="base retry backoff, doubling per attempt "
                             "(default: 0.5)")
+        p.add_argument("--chaos", type=int, default=None, metavar="SEED",
+                       help="chaos self-test: randomly kill/hang/corrupt "
+                            "supervised workers (seeded; hangs wait for "
+                            "--timeout, default "
+                            f"{CHAOS_DEFAULT_TIMEOUT:.0f}s); reports must "
+                            "still match a clean run byte for byte")
+
+    def add_parallel_opts(p: argparse.ArgumentParser) -> None:
+        add_supervision_opts(p)
         p.add_argument("--journal", metavar="PATH", default=None,
                        help="crash-safe checkpoint journal; completed tasks "
                             "are durably recorded as the campaign runs "
@@ -730,10 +697,6 @@ def make_parser() -> argparse.ArgumentParser:
                        help="skip tasks already in the journal; the resumed "
                             "output is byte-identical to an uninterrupted "
                             "run")
-        p.add_argument("--chaos", type=int, default=None, metavar="SEED",
-                       help="chaos self-test: randomly kill/hang/corrupt "
-                            "supervised workers (seeded) and assert the "
-                            "output still matches a clean run")
 
     p = sub.add_parser("bench", help="regenerate the paper's tables/figures")
     p.add_argument("workloads", nargs="*",
@@ -839,24 +802,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="max jobs admitted but not yet terminal; beyond "
                         "this, submissions get a structured REJECTED busy "
                         "(default: 4)")
-    p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                   help="worker processes per campaign job (default: 1)")
-    p.add_argument("--cache-dir", metavar="PATH", default=None,
-                   help="compile-cache directory shared by every job "
-                        "(default: $REPRO_CACHE_DIR or ~/.cache/repro-boost)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the on-disk compile cache")
-    p.add_argument("--timeout", type=_positive_float, default=None,
-                   metavar="SECS",
-                   help="per-task wall-clock timeout inside each job "
-                        "(default: none)")
-    p.add_argument("--retries", type=_nonnegative_int, default=None,
-                   metavar="N",
-                   help="retry budget, both for tasks inside a job and for "
-                        "runner processes that die (default: 2)")
-    p.add_argument("--backoff", type=_positive_float, default=0.5,
-                   metavar="SECS",
-                   help="base retry backoff inside each job (default: 0.5)")
+    add_supervision_opts(p)
     p.add_argument("--breaker-threshold", type=_positive_int, default=3,
                    metavar="N",
                    help="consecutive timeout/killed failures on one "
@@ -866,10 +812,6 @@ def make_parser() -> argparse.ArgumentParser:
                    metavar="SECS",
                    help="seconds an open circuit waits before admitting a "
                         "half-open probe (default: 30)")
-    p.add_argument("--chaos", type=int, default=None, metavar="SEED",
-                   help="service chaos self-test: seeded SIGKILLs of "
-                        "runner processes mid-job; reports must still "
-                        "converge byte-identically")
     p.add_argument("--resume", action="store_true",
                    help="re-adopt non-terminal jobs from a previous daemon "
                         "life; their reports are byte-identical to an "

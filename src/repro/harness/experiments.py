@@ -206,9 +206,33 @@ class Lab:
             return None
         return scalar.cycle_count / other.cycle_count
 
+    # ---------------------------------------------------------------- campaign
+    def facets(self) -> dict:
+        """The identity of this bench campaign, for journal fingerprints."""
+        return {"workloads": [w.name for w in self.workloads],
+                "sabotage": self.sabotage, "configs": BENCH_CONFIG_KEYS,
+                "stats": self.collect_stats}
+
+    def run(self, jobs: int = 1, policy=None, chaos=None, journal=None,
+            skip=()) -> "Lab":
+        """:meth:`populate`, then the lab itself as the campaign's result:
+        it renders its report with :meth:`format` and judges it with
+        :attr:`ok`, like the verify and fuzz summaries."""
+        self.populate(jobs, policy=policy, chaos=chaos, journal=journal,
+                      skip=skip)
+        return self
+
+    @property
+    def ok(self) -> bool:
+        return not self.errors
+
+    def format(self) -> str:
+        from repro.harness.report import render_all
+        return render_all(self)
+
     # ------------------------------------------------------------- parallelism
     def populate(self, jobs: int = 1, policy=None, chaos=None,
-                 journal=None) -> None:
+                 journal=None, skip=()) -> None:
         """Pre-compute every bench cell, optionally across worker processes.
 
         With ``jobs=1`` this simply warms the in-process memo the way the
@@ -227,17 +251,27 @@ class Lab:
         exhausted retries) are *not* journaled — a resumed campaign retries
         them — and are recorded in :attr:`errors` (rendered as ``ERR``
         cells) plus, structured, in :attr:`failures`.
+
+        ``skip`` holds journal keys (``"workload/config"``) that must not
+        run — the campaign service passes the cells whose circuit breaker
+        is open.  A skipped cell degrades to a ``kind: breaker`` failure
+        and is never journaled: a later run with the circuit closed must
+        be free to compute it.
         """
+        if skip:
+            from repro.verify.campaign import breaker_skip_error
+        for jkey in skip:
+            cell = tuple(jkey.rsplit("/", 1))
+            self.errors[cell] = breaker_skip_error(jkey)
+            self.failures[cell] = {"kind": "breaker", "attempts": 0,
+                                   "error": self.errors[cell]}
         cells = [(w.name, key)
                  for w in self.workloads for key in BENCH_CONFIG_KEYS]
         todo: list[tuple[str, str]] = []
         for wname, key in cells:
             jkey = f"{wname}/{key}"
             if (wname, key) in self.errors:
-                # Pre-failed cell (e.g. the campaign service's circuit
-                # breaker): never runs, never journaled — a later run with
-                # the circuit closed must be free to compute it.
-                continue
+                continue  # pre-failed (skipped) cell: never runs
             if journal is not None and jkey in journal.completed:
                 result, cell_error = journal.completed[jkey]
                 self.resumed.add((wname, key))

@@ -165,15 +165,21 @@ class ChaosConfig:
     max_faults: int = 2      # misbehave only on the first N attempts
     hang_seconds: float = 3600.0
 
-    def misbehave(self, index: int, attempt: int) -> None:
-        """Maybe kill/hang/corrupt the calling worker.  Runs in the child."""
+    def misbehave(self, index: int, attempt: int, conn) -> None:
+        """Maybe kill/hang/corrupt the calling worker.  Runs in the child.
+
+        A hang waits on the worker's task pipe ``conn``: the supervisor
+        sends nothing to a busy worker, so the wait lasts until the
+        watchdog kills it — or until EOF says the supervisor itself died,
+        and the worker exits rather than sleep on as an orphan."""
         if attempt > self.max_faults:
             return
         roll = random.Random(f"chaos:{self.seed}:{index}:{attempt}").random()
         if roll < self.kill:
             os._exit(77)
         if roll < self.kill + self.hang:
-            time.sleep(self.hang_seconds)
+            if conn.poll(self.hang_seconds):
+                os._exit(0)
             return
         if roll < self.kill + self.hang + self.corrupt:
             raise ChaosError(
@@ -181,13 +187,19 @@ class ChaosConfig:
 
 
 def _worker_main(conn, worker: Callable[[Any], Any],
-                 chaos: Optional[ChaosConfig]) -> None:
+                 chaos: Optional[ChaosConfig], parent_end) -> None:
     """Child process: serve (index, attempt, task) requests until EOF.
 
     SIGINT is ignored — shutdown is the supervisor's job (it closes the
     pipe or kills the process), so a Ctrl-C hitting the whole process group
     cannot produce worker tracebacks racing the supervisor's own teardown.
+
+    ``parent_end`` is the supervisor's end of this worker's pipe, inherited
+    through fork.  Closing it leaves the supervisor its only holder, so a
+    supervisor that dies — even by SIGKILL — reaches the worker as EOF and
+    the worker exits instead of waiting for a task forever.
     """
+    parent_end.close()
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except ValueError:
@@ -202,7 +214,8 @@ def _worker_main(conn, worker: Callable[[Any], Any],
         index, attempt, task = message
         if chaos is not None:
             outcome = _guarded(
-                lambda t: (chaos.misbehave(index, attempt), worker(t))[1],
+                lambda t: (chaos.misbehave(index, attempt, conn),
+                           worker(t))[1],
                 index, task)
         else:
             outcome = _guarded(worker, index, task)
@@ -226,7 +239,8 @@ class _Slot:
     def __init__(self, ctx, worker, chaos) -> None:
         parent_conn, child_conn = ctx.Pipe()
         self.proc = ctx.Process(target=_worker_main,
-                                args=(child_conn, worker, chaos), daemon=True)
+                                args=(child_conn, worker, chaos, parent_conn),
+                                daemon=True)
         self.proc.start()
         child_conn.close()
         self.conn = parent_conn

@@ -430,8 +430,6 @@ class ServiceStats:
     failed: int = 0  # jobs terminal with state failed
     deadline_expired: int = 0  # jobs terminal with state deadline
     resumed_jobs: int = 0  # non-terminal jobs re-adopted by --resume
-    runner_restarts: int = 0  # runner children respawned after dying
-    chaos_kills: int = 0  # runner SIGKILLs injected by service chaos
     breaker_opened: int = 0  # circuit-open transitions
     breaker_half_open_probes: int = 0  # probe jobs let through a cooldown
     breaker_closed: int = 0  # circuits restored by a clean probe
@@ -447,7 +445,6 @@ class ServiceStats:
             "breaker_closed": self.breaker_closed,
             "breaker_half_open_probes": self.breaker_half_open_probes,
             "breaker_opened": self.breaker_opened,
-            "chaos_kills": self.chaos_kills,
             "completed": self.completed,
             "deadline_expired": self.deadline_expired,
             "failed": self.failed,
@@ -456,7 +453,6 @@ class ServiceStats:
             "rejected_draining": self.rejected_draining,
             "rejected_invalid": self.rejected_invalid,
             "resumed_jobs": self.resumed_jobs,
-            "runner_restarts": self.runner_restarts,
         }
 
 

@@ -10,11 +10,10 @@ clients over the same newline-delimited JSON protocol
 
 from repro.service.breaker import CircuitBreaker
 from repro.service.client import ServiceError, drain, status, submit
-from repro.service.daemon import CampaignService, ServiceChaosConfig
+from repro.service.daemon import CampaignService
 from repro.service.protocol import JOB_KINDS, SERVICE_SCHEMA, TERMINAL_STATES
 
 __all__ = [
     "CampaignService", "CircuitBreaker", "JOB_KINDS", "SERVICE_SCHEMA",
-    "ServiceChaosConfig", "ServiceError", "TERMINAL_STATES", "drain",
-    "status", "submit",
+    "ServiceError", "TERMINAL_STATES", "drain", "status", "submit",
 ]

@@ -27,7 +27,7 @@ testable without sleeping.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 __all__ = ["CircuitBreaker", "CellState"]

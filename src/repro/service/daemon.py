@@ -7,16 +7,14 @@ queued jobs over a Unix socket (newline-delimited JSON, see
 * **bounded memory** — admission is gated by ``queue_bound``: at most that
   many jobs may be admitted-but-not-terminal at once.  Overload is a
   structured ``rejected: busy`` response, never an unbounded queue.
-* **no lost work** — every job journals its cells as it runs; a runner
-  killed at any instant (chaos, OOM, deadline backstop) is respawned
-  against the journal and converges to the same report bytes.  A daemon
-  killed at any instant leaves ``job.json`` records that ``serve
-  --resume`` re-adopts.
+* **no lost work** — every job journals its cells as it runs.  A daemon
+  killed at any instant leaves ``job.json`` records and journals that
+  ``serve --resume`` re-adopts; the resumed report is byte-identical to an
+  uninterrupted one.
 * **bounded latency** — a per-request deadline becomes the batch deadline
-  of the runner's :class:`SupervisionPolicy`, so expiry produces a
-  structured partial report (every unfinished cell ``kind: deadline``)
-  rather than a hung job; a SIGKILL backstop covers a runner too wedged
-  to notice.
+  of the job's :class:`SupervisionPolicy`, so expiry kills the busy pool
+  workers and produces a structured partial report (every unfinished cell
+  ``kind: deadline``) rather than a hung job.
 * **failure isolation** — a per-configuration circuit breaker
   (:mod:`repro.service.breaker`) stops one pathological config cell from
   burning every job's retry budget; open cells degrade to deterministic
@@ -25,21 +23,22 @@ queued jobs over a Unix socket (newline-delimited JSON, see
   finishes what is queued and running, prints a one-line summary, and
   exits 0.
 
-Jobs execute strictly in admission order, one at a time — parallelism
-lives *inside* a job (the supervised worker pool), where it is already
-proven byte-deterministic.
+Jobs execute strictly in admission order, one at a time, each on a worker
+thread (:func:`asyncio.to_thread`) that runs the CLI's own campaign code
+(:func:`repro.service.jobs.run_job`), so the event loop keeps answering
+while a job runs.  Parallelism lives *inside* a job — the supervised
+worker pool, where it is already proven byte-deterministic — and so do
+timeouts, retries and ``--chaos``, which mean exactly what they mean for
+``repro bench/verify/fuzz``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import os
-import random
 import signal
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -50,38 +49,10 @@ from repro.service.jobs import (
     next_job_id, run_job,
 )
 from repro.service.protocol import (
-    TERMINAL_STATES, decode, encode, response, validate_submit,
+    JOB_KINDS, TERMINAL_STATES, decode, encode, response, validate_submit,
 )
 
-__all__ = ["CampaignService", "ServiceChaosConfig"]
-
-
-@dataclass
-class ServiceChaosConfig:
-    """Seeded fault injection for the service-layer chaos self-test.
-
-    Whether a runner attempt gets SIGKILLed — and when — is a pure
-    function of ``(seed, job id, attempt)``, so a chaos run is exactly
-    reproducible.  Kills only fire while ``attempt <= max_faults``; with
-    ``max_faults`` at or below the daemon's runner retry budget every job
-    eventually gets an unkilled attempt, which (with the journal carrying
-    earlier attempts' cells) is what lets the self-test demand reports
-    byte-identical to a clean serial oracle.
-    """
-
-    seed: int
-    max_faults: int = 2
-    #: kill delay band in seconds — early enough to land mid-campaign
-    kill_after: tuple = (0.05, 0.6)
-
-    def kill_delay(self, job_id: str, attempt: int) -> Optional[float]:
-        if attempt > self.max_faults:
-            return None
-        rng = random.Random(f"service:{self.seed}:{job_id}:{attempt}")
-        if rng.random() >= 0.8:
-            return None
-        lo, hi = self.kill_after
-        return lo + (hi - lo) * rng.random()
+__all__ = ["CampaignService"]
 
 
 class _Job:
@@ -96,23 +67,16 @@ class _Job:
 
 
 class CampaignService:
-    #: extra seconds past a job's deadline before the backstop SIGKILL —
-    #: the in-runner batch deadline should always fire first and produce
-    #: the structured partial report; the backstop only reaps a runner too
-    #: wedged to run its own expiry path
-    DEADLINE_GRACE = 10.0
-
     def __init__(self, socket_path: str, state_dir: str, *,
                  queue_bound: int = 4, runtime: Optional[dict] = None,
-                 chaos: Optional[ServiceChaosConfig] = None,
                  resume: bool = False, breaker_threshold: int = 3,
                  breaker_cooldown: float = 30.0,
                  banner: bool = True) -> None:
         self.socket_path = str(socket_path)
         self.state_dir = Path(state_dir)
         self.queue_bound = queue_bound
+        #: supervision settings for every job, by CLI flag dest
         self.runtime = dict(runtime or {})
-        self.chaos = chaos
         self.resume = resume
         self.banner = banner
         self.breaker = CircuitBreaker(threshold=breaker_threshold,
@@ -132,11 +96,12 @@ class CampaignService:
         self._queue = asyncio.Queue()
         self._drain_requested = asyncio.Event()
         self._drained = asyncio.Event()
-        # Signal handlers before anything slow (orphan fencing, job
-        # re-adoption): a SIGTERM racing startup must drain, not kill.
+        # Signal handlers before anything slow (job re-adoption): a
+        # SIGTERM racing startup must drain, not kill.
         for sig in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(sig, self.begin_drain)
         (self.state_dir / "jobs").mkdir(parents=True, exist_ok=True)
+        self._warm_admission()
         resumed = self._adopt_jobs() if self.resume else 0
         self.stats.resumed_jobs = resumed
 
@@ -178,6 +143,20 @@ class CampaignService:
         self._draining = True
         self._drain_requested.set()
 
+    def _warm_admission(self) -> None:
+        """Run admission's code once, before any job thread exists.
+
+        Job threads fork pool workers while this (the loop) thread keeps
+        admitting, and a fork copies every lock as it stands.  Admission
+        imports its campaign modules lazily; doing that here, up front,
+        means the loop thread never holds an import lock a forked worker
+        could inherit.  The loop thread's only other locks are the stderr
+        buffer's, and it prints only before the first job (the banner) and
+        after the last (the drain summary)."""
+        for kind in JOB_KINDS:
+            admission_error(kind, {})
+            breaker_cells(kind, {})
+
     def _cache_label(self) -> str:
         if self.runtime.get("no_cache"):
             return "off"
@@ -187,51 +166,28 @@ class CampaignService:
     def _adopt_jobs(self) -> int:
         """Re-queue every non-terminal job from a previous daemon life.
 
-        Their journals carry what earlier runners finished, so the
+        Their journals carry what the earlier life finished, so the
         re-adopted report is byte-identical to one from an uninterrupted
-        daemon.  Deadline budgets restart from re-admission — the original
-        admission clock died with the original daemon.
+        daemon.  Nothing of the earlier life can still write a journal:
+        only the job thread writes it, and that died with its daemon
+        (orphaned pool workers exit on pipe EOF).  Deadline budgets restart
+        from re-admission — the original admission clock died with the
+        original daemon.
         """
         adopted = 0
         for record in load_jobs(self.state_dir):
             job = _Job(record, self.state_dir / "jobs" / record.id)
+            self.jobs[record.id] = job
             if record.state in TERMINAL_STATES:
                 job.report = self._read_report(job)
                 job.done.set()
-                self.jobs[record.id] = job
                 continue
-            self._fence_orphan_runner(job)
             record.state = "queued"
             record.save(job.dir)
-            self.jobs[record.id] = job
             self._pending += 1
             self._queue.put_nowait(job)
             adopted += 1
         return adopted
-
-    def _fence_orphan_runner(self, job: _Job) -> None:
-        """Kill a runner group left over from a previous daemon life.
-
-        A SIGKILLed daemon cannot clean up its children, so a job being
-        re-adopted may still have its old runner appending to the journal.
-        Two writers would corrupt it; fence the orphan before spawning a
-        replacement.  The pid file is best-effort — a recycled pid is only
-        killed when it still leads a process group of ours.
-        """
-        pid_path = job.dir / "runner.pid"
-        try:
-            pid = int(pid_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return
-        try:
-            if os.getpgid(pid) == pid:  # still the group leader we made
-                os.killpg(pid, signal.SIGKILL)
-        except (OSError, ValueError):
-            pass  # long dead
-        try:
-            pid_path.unlink()
-        except OSError:
-            pass
 
     # ----------------------------------------------------------- connections
     async def _on_connection(self, reader: asyncio.StreamReader,
@@ -388,51 +344,19 @@ class CampaignService:
     async def _run_job(self, job: _Job) -> None:
         record = job.record
         record.state = "running"
+        record.attempts += 1
         record.save(job.dir)
-        deadline_at = (job.admitted_mono + record.deadline
-                       if record.deadline is not None else None)
-        skip = self._breaker_skips(record)
-        retries = self.runtime.get("retries")
-        budget = retries if retries is not None else 2
-        report_path = job.dir / "report.json"
-
-        while True:
-            if report_path.exists():
-                # Written by a previous attempt (killed after its last
-                # act) or a previous daemon life: adopt as-is.
-                report = self._read_report(job)
-                if report is not None:
-                    break
-                report_path.unlink()  # unreadable: recompute
+        # A report from a previous daemon life (killed after the job's last
+        # act) is adopted as-is.
+        report = self._read_report(job)
+        if report is None:
             remaining = None
-            if deadline_at is not None:
-                remaining = max(deadline_at - time.monotonic(), 0.0)
-            record.attempts += 1
-            record.save(job.dir)
-            await self._spawn_runner(job, remaining, skip)
-            if report_path.exists():
-                report = self._read_report(job)
-                if report is not None:
-                    break
-            if deadline_at is not None and time.monotonic() >= deadline_at:
-                report = {"state": "deadline", "ok": False, "text": "",
-                          "failures": [{"key": "*", "kind": "deadline",
-                                        "attempts": record.attempts,
-                                        "error": "runner killed at the "
-                                                 "deadline backstop"}],
-                          "completed": [],
-                          "error": "deadline expired before the runner "
-                                   "produced a report"}
-                break
-            if record.attempts > budget:
-                report = {"state": "failed", "ok": False, "text": "",
-                          "failures": [], "completed": [],
-                          "error": f"runner died {record.attempts} time(s) "
-                                   f"without producing a report "
-                                   f"(retry budget {budget} exhausted)"}
-                break
-            self.stats.runner_restarts += 1
-
+            if record.deadline is not None:
+                remaining = max(job.admitted_mono + record.deadline
+                                - time.monotonic(), 0.0)
+            report = await asyncio.to_thread(
+                run_job, job.dir, record.kind, record.params, self.runtime,
+                remaining, self._breaker_skips(record))
         job.report = report
         self._account_breaker(report)
         record.state = report.get("state", "failed")
@@ -454,78 +378,3 @@ class CampaignService:
                 self.breaker.record_failure(cell_key(failure["key"]), kind)
         for jkey in report.get("completed", ()):
             self.breaker.record_success(cell_key(jkey))
-
-    async def _spawn_runner(self, job: _Job, remaining: Optional[float],
-                            skip: list[str]) -> None:
-        import multiprocessing
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover — non-fork platforms
-            ctx = multiprocessing.get_context()
-        runtime = dict(self.runtime)
-        runtime["deadline"] = remaining
-        runtime["skip"] = skip
-        # Not a daemon process: the runner spawns its own supervised pool.
-        proc = ctx.Process(target=run_job,
-                           args=(str(job.dir), job.record.kind,
-                                 job.record.params, runtime))
-        proc.start()
-        try:
-            # Mirror the child's own setpgid to close the race where a
-            # kill timer fires before the child reaches it.
-            os.setpgid(proc.pid, proc.pid)
-        except OSError:
-            pass  # the child beat us to it, or already exited
-        pid_path = job.dir / "runner.pid"
-        pid_path.write_text(str(proc.pid), encoding="utf-8")
-        loop = asyncio.get_running_loop()
-        exited = loop.create_future()
-        loop.add_reader(proc.sentinel,
-                        lambda: exited.done() or exited.set_result(None))
-        timers = []
-        if self.chaos is not None:
-            delay = self.chaos.kill_delay(job.record.id, job.record.attempts)
-            if delay is not None:
-                timers.append(loop.call_later(
-                    delay, self._kill_runner, proc, "chaos"))
-        if remaining is not None:
-            timers.append(loop.call_later(
-                remaining + self.DEADLINE_GRACE,
-                self._kill_runner, proc, "deadline backstop"))
-        try:
-            while True:
-                done, _ = await asyncio.wait({exited}, timeout=1.0)
-                if done:
-                    break
-                # Fallback: a SIGKILLed runner's sentinel can be held
-                # open by an orphaned grandchild that inherited the pipe;
-                # is_alive() reaps via waitpid and sees through that.
-                if not proc.is_alive():
-                    break
-        finally:
-            loop.remove_reader(proc.sentinel)
-            for timer in timers:
-                timer.cancel()
-            proc.join()
-            try:
-                proc.close()
-            except Exception:  # pragma: no cover
-                pass
-            try:
-                pid_path.unlink()
-            except OSError:
-                pass
-
-    def _kill_runner(self, proc, why: str) -> None:
-        if why == "chaos":
-            self.stats.chaos_kills += 1
-        if proc.pid is None:
-            return
-        try:  # the whole runner group: the campaign pool dies with it
-            os.killpg(proc.pid, signal.SIGKILL)
-        except (OSError, ValueError):
-            try:
-                os.kill(proc.pid, signal.SIGKILL)
-            except (OSError, ValueError):  # already gone
-                pass

@@ -1,4 +1,4 @@
-"""Job state and the runner child of the campaign service.
+"""Job state and the in-process job entry of the campaign service.
 
 A *job* is one queued campaign (bench, verify, or fuzz).  Everything the
 daemon knows about a job lives under its own directory,
@@ -7,17 +7,21 @@ daemon knows about a job lives under its own directory,
 * ``job.json`` — the admission record (kind, params, deadline) plus the
   current lifecycle state, rewritten atomically on every transition;
 * ``journal`` — the campaign's crash-safe checkpoint journal
-  (:class:`repro.harness.resilience.Journal`), written by the runner as
-  cells complete.  A runner killed mid-job resumes from it, so the final
-  report converges to the same bytes however many times the runner died;
-* ``report.json`` — the terminal report, written atomically by the runner
-  as its very last act.  Its presence *is* the signal that the job's
-  computation finished; the daemon never parses a half-written one.
+  (:class:`repro.harness.resilience.Journal`), written as cells complete.
+  A daemon killed mid-job leaves it behind; ``serve --resume`` re-runs the
+  job against it, so the final report converges to the same bytes however
+  many daemon lives the job took;
+* ``report.json`` — the terminal report, written atomically as the job's
+  very last act.  Its presence *is* the signal that the job's computation
+  finished; the daemon never parses a half-written one.
 
-The runner is a forked child (:func:`run_job`) so a hung or dying campaign
-can be SIGKILLed without taking the daemon down, and so ``serve --resume``
-can re-adopt a half-finished job by simply spawning a fresh runner against
-the surviving journal.
+:func:`run_job` runs a job on a worker thread of the daemon, through
+the CLI's own campaign code (:func:`repro.cli.run_campaign`): the same
+construction, journal fingerprint and supervised pool as ``repro
+bench/verify/fuzz``.  Under ``--jobs N``, a timeout, a deadline or
+chaos, the pool's worker processes do the heavy work and enforce the
+limits; otherwise the thread runs the campaign itself, as the CLI does at
+``--jobs 1``.  Either way only the thread writes the journal.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ class JobRecord:
     params: dict = field(default_factory=dict)
     deadline: Optional[float] = None  # seconds from admission, None = none
     state: str = "queued"  # queued | running | done | failed | deadline
-    attempts: int = 0  # runner processes spawned for this job
+    attempts: int = 0  # job starts: 1, plus 1 per daemon life resuming it
     error: Optional[str] = None
 
     def save(self, job_dir: Path) -> None:
@@ -105,35 +109,17 @@ def next_job_id(state_dir: Path) -> int:
 
 # -------------------------------------------------------------- admission
 def admission_error(kind: str, params: dict) -> Optional[str]:
-    """Reject bad campaign parameters at admission, not in the runner.
+    """Reject bad campaign parameters at admission, not mid-job.
 
-    A deterministic construction error (unknown workload, unknown model)
-    must never reach the runner: the runner's retry budget exists for
-    crashes and kills, and burning it on a request that could never run
-    would also mis-train the circuit breaker.
+    The campaign is built exactly as the job would build it, so every
+    construction error (unknown workload or model, ``seeds``/``count``
+    below 1, …) is a structured ``rejected: invalid`` rather than a queued
+    job that can only fail.
     """
-    from repro.workloads import all_workloads
+    from repro.cli import CAMPAIGNS, campaign_args
 
-    if kind == "bench":
-        known = {w.name for w in all_workloads()}
-        unknown = sorted(set(params.get("workloads") or ()) - known)
-        if unknown:
-            return f"unknown workload(s): {', '.join(unknown)}"
-        return None
     try:
-        if kind == "verify":
-            from repro.verify import VerifyCampaign
-            VerifyCampaign(workload_names=params.get("workloads") or None,
-                           model_keys=params.get("models") or None,
-                           seeds=params.get("seeds", 20),
-                           seed_start=params.get("seed_start", 0))
-        else:  # fuzz
-            from repro.verify.fuzz import FuzzCampaign
-            FuzzCampaign(count=params.get("count", 50),
-                         seed_start=params.get("seed_start", 0),
-                         plans=params.get("plans", 4),
-                         model_keys=params.get("models") or None,
-                         backends=params.get("backends") or None)
+        CAMPAIGNS[kind](campaign_args(kind, params))
     except ValueError as err:
         return str(err)
     return None
@@ -142,8 +128,8 @@ def admission_error(kind: str, params: dict) -> Optional[str]:
 def breaker_cells(kind: str, params: dict) -> dict[str, list[str]]:
     """Configuration cell -> the job's journal keys under that cell.
 
-    This is the daemon's pre-flight map: before spawning a runner it asks
-    the breaker about each cell and turns refused cells into the runner's
+    This is the daemon's pre-flight map: before running a job it asks the
+    breaker about each cell and turns refused cells into the job's
     ``skip`` list.  Fuzz jobs have no configuration axis a breaker could
     reasonably isolate (every program is new work), so they are not gated.
     """
@@ -164,43 +150,55 @@ def breaker_cells(kind: str, params: dict) -> dict[str, list[str]]:
             for config in configs}
 
 
-# ----------------------------------------------------------------- runner
-def run_job(job_dir: str, kind: str, params: dict, runtime: dict) -> None:
-    """Runner-child entry: execute one campaign, write ``report.json``.
+# -------------------------------------------------------------------- jobs
+def run_job(job_dir, kind: str, params: dict,
+            runtime: Optional[dict] = None,
+            deadline: Optional[float] = None, skip=()) -> dict:
+    """Run one job through the CLI's campaign code; write and return its
+    report.
 
-    ``runtime`` carries the daemon's execution knobs: ``jobs``,
-    ``timeout``, ``retries``, ``backoff``, ``cache_dir``, ``no_cache``,
-    ``deadline`` (the job's *remaining* budget in seconds — it becomes the
-    batch deadline of the :class:`SupervisionPolicy`, so expiry degrades
-    every unfinished cell to a structured ``kind: deadline`` failure
-    instead of leaving a corpse), and ``skip`` (journal keys whose circuit
-    breaker is open; they degrade to deterministic skip errors and are
-    never journaled).
+    ``runtime`` carries the daemon's supervision settings by flag dest
+    (``jobs``, ``timeout``, ``retries``, ``backoff``, ``chaos``,
+    ``cache_dir``, ``no_cache``).  ``deadline`` is the job's *remaining*
+    budget in seconds: it becomes the batch deadline of the
+    :class:`SupervisionPolicy`, so expiry degrades every unfinished cell to
+    a structured ``kind: deadline`` failure.  ``skip`` lists journal keys
+    whose circuit breaker is open; they degrade to deterministic skips and
+    are never journaled.
 
-    The report is written atomically as the last act; any exception
-    becomes a terminal ``failed`` report rather than a retryable crash —
-    by the time a request is here it was validated at admission, so an
-    exception is deterministic and retrying it would only waste budget.
+    ``report.json`` is written atomically as the last act.  Any exception
+    becomes a terminal ``failed`` report: the request was validated at
+    admission, so an exception here is deterministic and retrying it would
+    only waste time.
     """
-    import os
+    from repro.cli import CAMPAIGNS, campaign_args, run_campaign
 
+    job_dir = Path(job_dir)
     try:
-        # Lead a fresh process group so a SIGKILL aimed at this runner
-        # (chaos, deadline backstop, orphan fencing) takes the supervised
-        # pool workers down too.  An orphaned worker is not just a leak:
-        # it holds an inherited copy of this process's sentinel pipe, so
-        # leaving one alive would make the daemon wait forever for a
-        # runner that is already dead.
-        os.setpgid(0, 0)
-    except OSError:  # pragma: no cover — already a leader, or restricted
-        pass
-    path = Path(job_dir)
-    try:
-        report = _execute(path, kind, params, runtime)
+        args = campaign_args(kind, params, runtime)
+        args.journal, args.resume = str(job_dir / "journal"), True
+        campaign = CAMPAIGNS[kind](args)
+        result = run_campaign(kind, campaign, args, deadline=deadline,
+                              skip=skip)
+        # bench keys its failures by (workload, config); the rest by jkey
+        failures = sorted(
+            ({"key": key if isinstance(key, str) else "/".join(key),
+              **record} for key, record in campaign.failures.items()),
+            key=lambda f: f["key"])
+        failed = {f["key"] for f in failures}
+        completed = [jkey for jkeys in breaker_cells(kind, params).values()
+                     for jkey in jkeys if jkey not in failed]
+        if any(f["kind"] == "deadline" for f in failures):
+            state = "deadline"
+        else:
+            state = "done" if result.ok else "failed"
+        report = _report(state, ok=result.ok, text=result.format(),
+                         failures=failures, completed=completed)
     except Exception as err:  # noqa: BLE001 — the report IS the error path
         report = _report("failed", ok=False, text="",
                          error=f"{type(err).__name__}: {err}")
-    atomic_write_json(path / "report.json", report)
+    atomic_write_json(job_dir / "report.json", report)
+    return report
 
 
 def _report(state: str, ok: bool, text: str, failures=None, completed=None,
@@ -208,138 +206,3 @@ def _report(state: str, ok: bool, text: str, failures=None, completed=None,
     return {"schema": REPORT_SCHEMA, "state": state, "ok": ok,
             "text": text, "failures": failures or [],
             "completed": completed or [], "error": error}
-
-
-def _policy(runtime: dict):
-    from repro.harness.resilience import SupervisionPolicy
-
-    timeout = runtime.get("timeout")
-    retries = runtime.get("retries")
-    deadline = runtime.get("deadline")
-    if timeout is None and retries is None and deadline is None:
-        return None
-    return SupervisionPolicy(
-        timeout=timeout, retries=retries if retries is not None else 2,
-        backoff=runtime.get("backoff", 0.5), deadline=deadline)
-
-
-def _cache(runtime: dict):
-    from repro.harness.cache import CompileCache
-
-    if runtime.get("no_cache"):
-        return None
-    return CompileCache(runtime.get("cache_dir"))
-
-
-def _terminal_state(failures: list[dict], ok: bool) -> str:
-    if any(f.get("kind") == "deadline" for f in failures):
-        return "deadline"
-    return "done" if ok else "failed"
-
-
-def _execute(job_dir: Path, kind: str, params: dict, runtime: dict) -> dict:
-    from repro.harness.cache import CODE_VERSION
-    from repro.harness.resilience import Journal
-
-    jobs = runtime.get("jobs", 1)
-    policy = _policy(runtime)
-    cache = _cache(runtime)
-    skip = sorted(runtime.get("skip") or ())
-
-    if kind == "bench":
-        from repro.harness.experiments import BENCH_CONFIG_KEYS, Lab
-        from repro.harness.report import render_all
-        from repro.verify.campaign import breaker_skip_error
-        from repro.workloads import all_workloads
-
-        workloads = all_workloads()
-        if params.get("workloads"):
-            selected = set(params["workloads"])
-            workloads = [w for w in workloads if w.name in selected]
-        facets = dict(command="bench", code_version=CODE_VERSION,
-                      workloads=[w.name for w in workloads], sabotage=None,
-                      configs=BENCH_CONFIG_KEYS, stats=False)
-        journal = Journal(job_dir / "journal",
-                          Journal.make_fingerprint(**facets),
-                          resume=True, facets=facets)
-        lab = Lab(workloads, cache=cache)
-        for jkey in skip:
-            wname, _, config = jkey.rpartition("/")
-            lab.errors[(wname, config)] = breaker_skip_error(jkey)
-            lab.failures[(wname, config)] = {
-                "kind": "breaker", "attempts": 0,
-                "error": lab.errors[(wname, config)]}
-        try:
-            lab.populate(jobs=jobs, policy=policy, journal=journal)
-        finally:
-            journal.close()
-        text = render_all(lab)
-        failures = [{"key": f"{w}/{c}", **record}
-                    for (w, c), record in sorted(lab.failures.items())]
-        failed_keys = {f["key"] for f in failures}
-        completed = [f"{w.name}/{config}" for w in workloads
-                     for config in BENCH_CONFIG_KEYS
-                     if f"{w.name}/{config}" not in failed_keys]
-        ok = not lab.errors
-        return _report(_terminal_state(failures, ok), ok=ok, text=text,
-                       failures=failures, completed=completed)
-
-    if kind == "verify":
-        from repro.verify import VerifyCampaign
-
-        campaign = VerifyCampaign(
-            workload_names=params.get("workloads") or None,
-            model_keys=params.get("models") or None,
-            seeds=params.get("seeds", 20),
-            seed_start=params.get("seed_start", 0), cache=cache)
-        facets = dict(command="verify", code_version=CODE_VERSION,
-                      workloads=[w.name for w in campaign.workloads],
-                      models=campaign.model_keys, seeds=campaign.seeds,
-                      seed_start=campaign.seed_start)
-        journal = Journal(job_dir / "journal",
-                          Journal.make_fingerprint(**facets),
-                          resume=True, facets=facets)
-        try:
-            summary = campaign.run(jobs=jobs, policy=policy,
-                                   journal=journal, skip=skip)
-        finally:
-            journal.close()
-        text = summary.format()
-        failures = ([{"key": k, **record}
-                     for k, record in sorted(campaign.failures.items())]
-                    + [{"key": jkey, "kind": "breaker", "attempts": 0,
-                        "error": "circuit breaker open"} for jkey in skip])
-        failed_keys = {f["key"] for f in failures}
-        completed = [f"{w.name}/{m}" for w in campaign.workloads
-                     for m in campaign.model_keys
-                     if f"{w.name}/{m}" not in failed_keys]
-        ok = summary.ok
-        return _report(_terminal_state(failures, ok), ok=ok, text=text,
-                       failures=failures, completed=completed)
-
-    # fuzz: no triage/reduction in service mode — the report is the
-    # pre-finalize summary, which is what the parallel/chaos machinery
-    # guarantees byte-identical (reduction is a separate, interactive step)
-    from repro.verify.fuzz import FuzzCampaign
-
-    campaign = FuzzCampaign(
-        count=params.get("count", 50),
-        seed_start=params.get("seed_start", 0),
-        plans=params.get("plans", 4),
-        model_keys=params.get("models") or None,
-        backends=params.get("backends") or None)
-    facets = dict(command="fuzz", code_version=CODE_VERSION,
-                  **campaign.facets())
-    journal = Journal(job_dir / "journal",
-                      Journal.make_fingerprint(**facets),
-                      resume=True, facets=facets)
-    try:
-        summary = campaign.run(jobs=jobs, policy=policy, journal=journal)
-    finally:
-        journal.close()
-    text = summary.format()
-    failures = [{"key": k, **record}
-                for k, record in sorted(campaign.failures.items())]
-    ok = summary.ok
-    return _report(_terminal_state(failures, ok), ok=ok, text=text,
-                   failures=failures, completed=[])

@@ -28,10 +28,10 @@ Job lifecycle states
 --------------------
 
 ``queued`` → ``running`` → one of the terminal states ``done`` (report
-clean), ``failed`` (report carries errors, or the runner died beyond its
-retry budget), ``deadline`` (the per-request budget expired; the report is
-a structured partial).  Rejected submissions never become jobs at all —
-that is what keeps the admission queue's memory bounded.
+clean), ``failed`` (report carries errors, or the job raised), ``deadline``
+(the per-request budget expired; the report is a structured partial).
+Rejected submissions never become jobs at all — that is what keeps the
+admission queue's memory bounded.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def validate_submit(req: dict) -> Optional[str]:
     """One-line reason a submit request is malformed, or ``None``.
 
     Validation happens entirely at admission: a job that reaches the queue
-    can only fail by *running*, so the runner's retry budget is never spent
-    on a request that was dead on arrival.
+    can only fail by *running*, so no job is ever queued that was dead on
+    arrival.
     """
     kind = req.get("kind")
     if kind not in JOB_KINDS:

@@ -156,6 +156,8 @@ class VerifyCampaign:
         if bad:
             raise ValueError(f"unknown model(s) {bad}; "
                              f"available: {sorted(CAMPAIGN_CONFIGS)}")
+        if seeds < 1:
+            raise ValueError(f"--seeds must be at least 1, got {seeds}")
         self.seeds = seeds
         self.seed_start = seed_start
         self._custom_checker = checker is not None
@@ -167,6 +169,12 @@ class VerifyCampaign:
         #: last :meth:`run` — the campaign service reads these for its
         #: circuit-breaker accounting
         self.failures: dict[str, dict] = {}
+
+    def facets(self) -> dict:
+        """The identity of this campaign, for journal fingerprints."""
+        return {"workloads": [w.name for w in self.workloads],
+                "models": self.model_keys, "seeds": self.seeds,
+                "seed_start": self.seed_start}
 
     # ------------------------------------------------------------------- run
     def run(self, jobs: int = 1, policy=None, chaos=None, journal=None,
@@ -189,9 +197,13 @@ class VerifyCampaign:
         ``skip`` is a set of bucket keys (``"workload/model"``) that must
         not run — the campaign service passes the cells whose circuit
         breaker is open.  A skipped bucket degrades to an empty result plus
-        an oracle error, and is never journaled (a later run with the
-        circuit closed must be free to compute it)."""
+        an oracle error plus a ``kind: breaker`` failure, and is never
+        journaled (a later run with the circuit closed must be free to
+        compute it)."""
         skip = frozenset(skip or ())
+        for jkey in skip:
+            self.failures[jkey] = {"kind": "breaker", "attempts": 0,
+                                   "error": breaker_skip_error(jkey)}
         supervised = (jobs > 1 or chaos is not None
                       or (policy is not None and policy.preemptive))
         if supervised and not self._custom_checker:

@@ -476,6 +476,8 @@ class FuzzCampaign:
     ) -> None:
         from repro.hw.backend import BACKENDS
 
+        if count < 1:
+            raise ValueError(f"--count must be at least 1, got {count}")
         self.count = count
         self.seed_start = seed_start
         self.config = config

@@ -216,6 +216,11 @@ def test_bench_journal_mismatch_names_the_diverged_field(tmp_path, capsys):
     (["bench", "--timeout", "nan"], "must be greater than 0"),
     (["bench", "--timeout", "soon"], "expected a positive number"),
     (["verify", "--shards", "2"], "unrecognized arguments"),
+    (["bench", "--backoff", "nan"], "must be greater than 0"),
+    (["bench", "--backoff", "-1"], "must be greater than 0"),
+    (["verify", "--backoff", "inf"], "and finite"),
+    (["serve", "--backoff", "nan"], "must be greater than 0"),
+    (["serve", "--timeout", "inf"], "and finite"),
 ])
 def test_bad_parallel_options_fail_at_parse_time(argv, fragment, capsys):
     # Bad values must die in argparse with exit code 2 and a one-line
@@ -228,6 +233,23 @@ def test_bad_parallel_options_fail_at_parse_time(argv, fragment, capsys):
     last = err.rstrip().splitlines()[-1]
     assert fragment in last
     assert last.startswith("repro")
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["verify", "--no-selftest", "--seeds", "0", "--workloads", "grep"],
+     "--seeds must be at least 1"),
+    (["verify", "--no-selftest", "--seeds", "-2", "--workloads", "grep"],
+     "--seeds must be at least 1"),
+    (["fuzz", "--count", "0"], "--count must be at least 1"),
+    (["fuzz", "--count", "-1"], "--count must be at least 1"),
+])
+def test_vacuous_campaigns_fail_before_running(argv, fragment, capsys):
+    # A campaign that would run nothing is a usage error, not a pass.
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"repro {argv[0]}: {fragment}")
 
 
 def test_good_parallel_options_still_parse(tmp_path, capsys):

@@ -3,6 +3,8 @@ chaos injection, and graceful shutdown."""
 
 import os
 import signal
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -145,7 +147,62 @@ def test_chaos_hang_is_reaped_by_the_watchdog():
 
 def test_chaos_never_fires_past_max_faults():
     chaos = ChaosConfig(seed=0, kill=1.0, max_faults=2)
-    chaos.misbehave(0, 3)  # would os._exit the test process if it fired
+    chaos.misbehave(0, 3, None)  # would os._exit the test process if it fired
+
+
+def _proc_stat(pid):
+    """(state letter, parent pid) of ``pid`` from /proc; None once gone."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+        fields = text.rsplit(")", 1)[1].split()
+        return fields[0], int(fields[1])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads worker states from /proc")
+@pytest.mark.parametrize("hang", [0.0, 1.0])
+def test_workers_exit_when_their_supervisor_is_sigkilled(hang):
+    # Nothing fences a dead coordinator's pool (the CLI's or the service
+    # daemon's): its workers must notice on their own — idle ones waiting
+    # for a task, and chaos-hung ones waiting out the watchdog.
+    script = (
+        "import time\n"
+        "from repro.harness.resilience import (\n"
+        "    ChaosConfig, SupervisionPolicy, run_supervised)\n"
+        f"chaos = ChaosConfig(seed=0, kill=0.0, corrupt=0.0, hang={hang})\n"
+        "run_supervised(time.sleep, [0.2] * 1000, jobs=2, chaos=chaos,\n"
+        "               policy=SupervisionPolicy(timeout=600))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parents[2] / "src")]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+           if p]))
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env)
+    try:
+        deadline = time.monotonic() + 30
+        workers = []
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.1)
+            workers = [pid for pid in (int(d.name) for d in
+                                       Path("/proc").iterdir()
+                                       if d.name.isdigit())
+                       if (_proc_stat(pid) or ("", 0))[1] == proc.pid]
+        assert len(workers) == 2
+        time.sleep(0.5)  # let them pick up (or hang on) a task
+    finally:
+        proc.kill()
+        proc.wait()
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        alive = [pid for pid in workers
+                 if (_proc_stat(pid) or ("Z",))[0] != "Z"]
+        if not alive:
+            break
+        time.sleep(0.1)
+    for pid in alive:  # do not leak them into the rest of the suite
+        os.kill(pid, signal.SIGKILL)
+    assert not alive
 
 
 # ---------------------------------------------------------------- interrupts

@@ -1,9 +1,10 @@
-"""Job records, admission checks, breaker plumbing, and the runner child."""
+"""Job records, admission checks, breaker plumbing, and the job entry."""
 
 import json
 
-from repro.service.breaker import CircuitBreaker
-from repro.service.daemon import CampaignService, ServiceChaosConfig
+import pytest
+
+from repro.service.daemon import CampaignService
 from repro.service.jobs import (
     JobRecord, admission_error, breaker_cells, cell_key, load_jobs,
     next_job_id, run_job,
@@ -60,6 +61,17 @@ def test_admission_rejects_unknown_workloads_and_models():
     assert admission_error("fuzz", {"count": 3}) is None
 
 
+@pytest.mark.parametrize("kind, params, fragment", [
+    ("verify", {"seeds": 0}, "--seeds must be at least 1"),
+    ("verify", {"seeds": -2}, "--seeds must be at least 1"),
+    ("fuzz", {"count": 0}, "--count must be at least 1"),
+    ("fuzz", {"plans": 0}, "--plans must be at least 1"),
+])
+def test_admission_rejects_vacuous_campaigns(kind, params, fragment):
+    # A campaign that would run nothing must not end `done`.
+    assert fragment in admission_error(kind, params)
+
+
 def test_breaker_cells_map_configs_to_journal_keys():
     cells = breaker_cells("verify", {"workloads": ["awk", "grep"],
                                      "models": ["squashing"]})
@@ -100,29 +112,17 @@ def test_account_breaker_trips_on_harness_failures_only(tmp_path):
     assert service.breaker.state("boost1") == "closed"  # error + success
 
 
-def test_chaos_kill_schedule_is_a_pure_function_of_seed_job_attempt():
-    chaos = ServiceChaosConfig(seed=11, max_faults=2)
-    first = [chaos.kill_delay("job-000001", a) for a in (1, 2, 3, 4)]
-    again = [chaos.kill_delay("job-000001", a) for a in (1, 2, 3, 4)]
-    assert first == again
-    assert first[2] is None and first[3] is None  # beyond max_faults
-    lo, hi = chaos.kill_after
-    for delay in first[:2]:
-        assert delay is None or lo <= delay <= hi
-    other = [ServiceChaosConfig(seed=12).kill_delay("job-000001", a)
-             for a in (1, 2)]
-    assert first[:2] != other  # the seed matters
-
-
-# ------------------------------------------------------------------ runner
+# --------------------------------------------------------------- job entry
 def test_run_job_with_every_cell_skipped_is_instant(tmp_path):
     # An all-open breaker degrades the whole job to structured skips —
     # no compilation, no simulation, just the report.
-    runtime = {"jobs": 1, "no_cache": True, "skip": ["awk/squashing"]}
-    run_job(str(tmp_path), "verify",
-            {"workloads": ["awk"], "models": ["squashing"], "seeds": 1},
-            runtime)
+    returned = run_job(tmp_path, "verify",
+                       {"workloads": ["awk"], "models": ["squashing"],
+                        "seeds": 1},
+                       {"jobs": 1, "no_cache": True},
+                       skip=["awk/squashing"])
     report = json.loads((tmp_path / "report.json").read_text())
+    assert returned == report
     assert report["state"] == "failed"
     assert not report["ok"]
     assert report["completed"] == []
@@ -133,10 +133,9 @@ def test_run_job_with_every_cell_skipped_is_instant(tmp_path):
 
 
 def test_run_job_reports_exceptions_instead_of_raising(tmp_path):
-    # Admission normally prevents this, but the runner must never die
-    # with a traceback and no report — the daemon would burn its retry
-    # budget re-running a deterministic failure.
-    run_job(str(tmp_path), "verify", {"models": ["nosuch"]},
+    # Admission normally prevents this, but a job must never end in a
+    # traceback with no report — the daemon thread would lose the job.
+    run_job(tmp_path, "verify", {"models": ["nosuch"]},
             {"jobs": 1, "no_cache": True})
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["state"] == "failed"

@@ -24,14 +24,14 @@ from repro.service.protocol import TERMINAL_STATES, encode
 ROOT = Path(__file__).parents[2]
 
 VERIFY1 = {"workloads": ["awk"], "models": ["squashing"], "seeds": 1}
-#: heavy enough (~5s from a cold cache) that chaos kills and daemon
+#: heavy enough (~5s from a cold cache) that chaos faults and daemon
 #: SIGKILLs reliably land *mid-campaign* — see the timing-sensitive tests
 VERIFYBIG = {"workloads": ["awk", "grep", "compress"],
              "models": ["squashing", "boost1", "minboost3"], "seeds": 5}
 
 
 def _oracle(cache_dir, params):
-    """The clean serial oracle: exactly what the runner computes."""
+    """The clean serial oracle: exactly what a job computes."""
     from repro.harness.cache import CompileCache
     from repro.verify import VerifyCampaign
 
@@ -95,12 +95,9 @@ class Daemon:
             self.proc.send_signal(signal.SIGTERM)
 
     def hard_kill(self):
-        """SIGKILL the daemon *and* any in-flight runner, as a machine
-        death would."""
-        try:
-            os.killpg(os.getpgid(self.proc.pid), signal.SIGKILL)
-        except (OSError, ProcessLookupError):
-            pass
+        """SIGKILL the daemon, as a crash would; its pool workers see EOF
+        and exit on their own."""
+        self.proc.kill()
         self.proc.wait()
         self.proc.stderr.close()
 
@@ -217,7 +214,7 @@ def test_rejections_are_structured_and_jobs_survive_them(tmp_path,
 
 
 def test_deadline_expiry_yields_a_structured_partial_report(tmp_path):
-    # A big cold-cache campaign far outlasts a 0.5s budget.  The runner's
+    # A big cold-cache campaign far outlasts a 0.5s budget.  The job's
     # batch deadline fires and every unfinished cell degrades to a
     # `kind: deadline` failure — a report, not a corpse.
     daemon = Daemon(tmp_path, cache_dir=tmp_path / "cold-cache")
@@ -257,33 +254,37 @@ def test_client_disconnect_abandons_the_stream_not_the_job(tmp_path,
     assert "completed=1" in err
 
 
-def test_chaos_kills_converge_to_the_clean_oracle(tmp_path, cache_dir,
-                                                  oracle_big):
-    # Seed 11 SIGKILLs job-000001's runner on attempts 1 and 2 (see
-    # ServiceChaosConfig: the schedule is a pure function of the seed);
-    # the big cold-cache campaign keeps those attempts alive long enough
-    # to be hit.  Attempt 3 runs unkilled against the surviving journal
-    # and must produce the byte-identical report.
-    daemon = Daemon(tmp_path, "--chaos", "11",
-                    cache_dir=tmp_path / "cold-cache")
+def test_worker_chaos_converges_to_the_clean_oracle(tmp_path, cache_dir,
+                                                    oracle_big):
+    # Seed 11 kills, hangs or corrupts pool workers on the first two
+    # attempts of seven of the nine buckets (ChaosConfig: a pure function
+    # of the seed); hangs are reaped by the 8s task timeout.  Every bucket
+    # gets a clean third attempt, so the report must be byte-identical to
+    # the clean serial oracle.
+    daemon = Daemon(tmp_path, "--chaos", "11", "--timeout", "8",
+                    "--jobs", "2", cache_dir=tmp_path / "cold-cache")
     try:
+        start = time.monotonic()
         accepted, result = client.submit(daemon.socket_path, "verify",
                                          VERIFYBIG, timeout=600)
+        elapsed = time.monotonic() - start
         assert accepted["event"] == "accepted"
         assert result["state"] == "done"
-        assert result["attempts"] >= 2  # at least one runner was killed
+        assert result["attempts"] == 1  # one daemon life, one job start
         assert result["text"] == oracle_big
+        # Proof that chaos fired: four buckets hang on their first attempt,
+        # and only the 8s timeout ends a hang.  A clean run takes ~3s.
+        assert elapsed >= 8.0
     finally:
         err = daemon.stop()
     assert "completed=1" in err
 
 
 def test_chaos_kill_with_a_deadline_cannot_wedge_the_daemon(tmp_path):
-    # Regression: a chaos SIGKILL of a runner whose supervised pool is
-    # live orphans workers that inherit the runner's sentinel pipe, so
-    # the daemon would wait forever on a dead runner.  The runner now
-    # leads its own process group (killed whole) and the daemon falls
-    # back to is_alive() polling, so the job must still terminate.
+    # Worker chaos plus a deadline: hung workers (no --timeout, so the
+    # 60s chaos fallback would reap them) must not outlive the 1s batch
+    # deadline — the pool kills every busy worker when it expires, and
+    # the job still ends `deadline` with a structured partial report.
     daemon = Daemon(tmp_path, "--chaos", "11",
                     cache_dir=tmp_path / "cold-cache")
     try:
@@ -296,6 +297,28 @@ def test_chaos_kill_with_a_deadline_cannot_wedge_the_daemon(tmp_path):
     finally:
         err = daemon.stop()
     assert "deadline-expired=1" in err
+
+
+def test_status_answers_while_a_job_runs(tmp_path):
+    # Jobs run on a worker thread, never on the event loop: a big
+    # cold-cache campaign in flight must not delay a status reply.
+    daemon = Daemon(tmp_path, cache_dir=tmp_path / "cold-cache")
+    try:
+        accepted, _ = client.submit(daemon.socket_path, "verify",
+                                    VERIFYBIG, wait=False)
+        job = accepted["job"]
+        time.sleep(0.5)  # let the job get into the campaign
+        for _ in range(5):
+            start = time.monotonic()
+            reply = client.status(daemon.socket_path)
+            assert time.monotonic() - start < 1.0
+            states = {j["id"]: j["state"] for j in reply["jobs"]}
+            assert states[job] == "running"
+            time.sleep(0.2)
+        assert _wait_terminal(daemon.socket_path, job)["state"] == "done"
+    finally:
+        err = daemon.stop()
+    assert "completed=1" in err
 
 
 def test_sigterm_drains_in_flight_work_then_exits_zero(tmp_path,
@@ -320,8 +343,8 @@ def test_resume_readopts_jobs_after_a_daemon_sigkill(tmp_path, cache_dir,
     accepted, _ = client.submit(daemon.socket_path, "verify", VERIFYBIG,
                                 wait=False)
     job = accepted["job"]
-    time.sleep(0.5)  # let the runner get into the campaign
-    daemon.hard_kill()  # daemon + runner die mid-job, journal survives
+    time.sleep(0.5)  # let the job get into the campaign
+    daemon.hard_kill()  # the daemon dies mid-job, the journal survives
 
     revived = Daemon(tmp_path, "--resume", cache_dir=cache_dir)
     try:
